@@ -19,10 +19,10 @@ use crate::en17::build_en17_exec;
 use crate::ep01::build_ep01_exec;
 use crate::tz06::build_tz06;
 
-/// Execution stats for a baseline build timed as one block (the baselines
-/// do not record per-phase timings). A partitioned build contributes its
-/// per-shard layout records; a worker build its transport and measured
-/// message statistics.
+/// Execution stats for a baseline build timed as one block (only EM19
+/// records per-phase timings, which its adapter adds). A partitioned build
+/// contributes its per-shard layout records; a worker build its transport
+/// and measured message statistics.
 fn timed_stats(cfg: &BuildConfig, t0: Instant, report: EngineReport) -> BuildStats {
     BuildStats {
         threads: cfg.threads,
@@ -226,7 +226,7 @@ impl Construction for Em19 {
         let params = cfg.distributed_params()?;
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
-        let emulator = build_em19_exec(g, &params, &engine);
+        let (emulator, phases) = build_em19_exec(g, &params, &engine);
         let (report, held) = engine.finish_retaining(emulator.provenance())?;
         let mut out = BuildOutput {
             emulator,
@@ -237,6 +237,7 @@ impl Construction for Em19 {
             stats: timed_stats(cfg, t0, report),
             algorithm: self.name(),
         };
+        out.stats.phases = phases;
         finalize_worker_build(&mut out, held, cfg)?;
         Ok(out)
     }
@@ -276,6 +277,24 @@ mod tests {
             &g,
             out.emulator.graph()
         ));
+    }
+
+    #[test]
+    fn em19_records_phase_timings() {
+        let g = generators::gnp_connected(100, 0.1, 5).unwrap();
+        let out = Em19.build(&g, &BuildConfig::default()).unwrap();
+        let phases = &out.stats.phases;
+        assert!(!phases.is_empty(), "em19 must time its phases");
+        assert!(phases.iter().enumerate().all(|(i, p)| p.phase == i));
+        // Phase 0 explores from every singleton cluster's center.
+        assert_eq!(phases[0].explorations, 100);
+        assert!(
+            phases
+                .iter()
+                .map(|p| p.duration)
+                .sum::<std::time::Duration>()
+                <= out.stats.total
+        );
     }
 
     #[test]

@@ -11,8 +11,9 @@
 use usnae_core::cluster::{Cluster, Partition};
 use usnae_core::emulator::{EdgeKind, EdgeProvenance, Emulator};
 use usnae_core::engine::Engine;
+use usnae_core::exec::{PhaseClock, PhaseTiming};
 use usnae_core::params::DistributedParams;
-use usnae_core::sai::Exploration;
+use usnae_core::sai::explore_centers;
 use usnae_graph::bfs::multi_source_bfs;
 use usnae_graph::{Dist, Graph, VertexId};
 
@@ -26,29 +27,34 @@ pub fn build_em19_spanner(g: &Graph, params: &DistributedParams) -> Emulator {
     build_em19(g, params, 1)
 }
 
-/// Crate-internal entry point behind the registry adapter (and the
-/// deprecated free-function shim). The Task-1 explorations shard over
-/// `threads`; output is byte-identical for every thread count.
+/// Crate-internal entry point behind the deprecated free-function shim
+/// and the tests. The Task-1 explorations shard over `threads`; output is
+/// byte-identical for every thread count.
 pub(crate) fn build_em19(g: &Graph, params: &DistributedParams, threads: usize) -> Emulator {
-    build_em19_exec(g, params, &Engine::inproc(g, threads))
+    build_em19_exec(g, params, &Engine::inproc(g, threads)).0
 }
 
 /// [`build_em19`] with the Task-1 explorations and ruling-set carving
 /// running through `engine` (shared array, partitioned shards, or a
-/// worker pool) — byte-identical either way.
+/// worker pool) — byte-identical either way — and per-phase timings.
 pub(crate) fn build_em19_exec(
     g: &Graph,
     params: &DistributedParams,
     engine: &Engine<'_>,
-) -> Emulator {
+) -> (Emulator, Vec<PhaseTiming>) {
     let n = g.num_vertices();
     let mut spanner = Emulator::new(n);
     let mut partition = Partition::singletons(n);
+    let mut clock = PhaseClock::new();
     for i in 0..=params.ell() {
         let last = i == params.ell();
-        partition = run_phase(g, engine, &mut spanner, &partition, i, params, last);
+        partition = clock.measure(i, || {
+            let centers = partition.len();
+            let next = run_phase(g, engine, &mut spanner, &partition, i, params, last);
+            (next, centers)
+        });
     }
-    spanner
+    (spanner, clock.into_phases())
 }
 
 fn add_path(
@@ -91,19 +97,11 @@ fn run_phase(
         is_center[c] = true;
     }
 
-    // Task-1 scans are pure per-center BFS — sharded, merged in center
-    // order (deterministic for every thread count and transport).
-    let explorations: Vec<Exploration> = engine.explorations(&centers, delta);
-    let neighbor_lists: Vec<Vec<(VertexId, Dist)>> = explorations
-        .iter()
-        .map(|e| e.centers_found(&is_center))
-        .collect();
-    let popular: Vec<VertexId> = centers
-        .iter()
-        .zip(&neighbor_lists)
-        .filter(|(_, nbrs)| nbrs.len() >= cap)
-        .map(|(&rc, _)| rc)
-        .collect();
+    // Task-1 scans are pure per-center BFS — sharded, run in bounded
+    // chunks and consumed in center order (deterministic for every thread
+    // count and transport); only explorations interconnection may need
+    // are kept.
+    let (popular, explorations) = explore_centers(engine, &centers, delta, &is_center, cap, last);
 
     let mut superclustered = vec![false; n];
     let mut next_clusters: Vec<Cluster> = Vec::new();
@@ -141,11 +139,12 @@ fn run_phase(
         }
     }
 
-    for ((&rc, nbrs), expl) in centers.iter().zip(&neighbor_lists).zip(&explorations) {
+    for (&rc, expl) in centers.iter().zip(&explorations) {
         if superclustered[rc] {
             continue;
         }
-        for &(v, _) in nbrs {
+        let expl = expl.as_ref().expect("popular centers are superclustered");
+        for (v, _) in expl.centers_found(&is_center) {
             let path = expl
                 .path_to(v)
                 .expect("neighbor reached by this exploration");

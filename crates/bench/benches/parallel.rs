@@ -213,7 +213,11 @@ fn main() {
     );
 
     let mut algo_json = Vec::new();
-    for algorithm in [Algorithm::Centralized, Algorithm::FastCentralized] {
+    for algorithm in [
+        Algorithm::Centralized,
+        Algorithm::FastCentralized,
+        Algorithm::Spanner,
+    ] {
         let (runs, speedup, fingerprint, _) = bench_algorithm(
             &g,
             algorithm,

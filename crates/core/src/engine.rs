@@ -3,19 +3,27 @@
 //!
 //! Every sharded construction (centralized / fast-centralized / spanner
 //! and the EP01/EN17a/EM19 baselines) funnels its bulk graph work through
-//! three primitives — sorted distance balls, full BFS explorations with
-//! parents, and ruling-set carving. [`Engine`] owns the dispatch:
+//! three primitives — sorted distance balls, sparse BFS explorations with
+//! parents ([`Exploration`]), and ruling-set carving. [`Engine`] owns the
+//! dispatch:
 //!
 //! * **Inproc** (the default): the primitives run against the build's
-//!   [`GraphView`] via the `usnae_graph::par` fan-out — the shared
-//!   adjacency array or local CSR shards, exactly as before.
-//! * **Channel / Process** ([`TransportKind`]): the engine spawns a
-//!   [`WorkerPool`] over the partitioned layout and ships each shard's
+//!   [`GraphView`] — the shared adjacency array or local CSR shards —
+//!   through the `usnae_graph::par` fan-out, on per-thread scratch the
+//!   engine keeps for the whole build.
+//! * **Channel / Process / Socket** ([`TransportKind`]): the engine spawns
+//!   a [`WorkerPool`] over the partitioned layout and ships each shard's
 //!   work to its owning worker, exchanging cut-edge frontiers as typed
 //!   messages. The pool's rank protocol reproduces the sequential FIFO
 //!   BFS exactly, so the primitives return **byte-identical** results —
 //!   the pool only changes where the work runs and adds **measured**
 //!   [`MessageStats`] to the build's report.
+//!
+//! Task 1 of a phase (one search per center) runs in bounded chunks
+//! ([`Engine::for_each_ball`], [`Engine::for_each_exploration`]): the
+//! caller keeps what it needs of each result and drops the rest, so a
+//! phase holds about 16 MiB of search results at a time instead of one
+//! ball per center.
 //!
 //! Worker failures never corrupt a build: on the first transport error the
 //! engine stashes the typed [`WorkerError`], drops the pool, finishes the
@@ -23,13 +31,14 @@
 //! surfaces the error from [`Engine::finish`] so callers fail loudly
 //! instead of silently reporting a worker build that did not happen.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 
 use crate::api::{BuildConfig, BuildError};
 use crate::emulator::EdgeProvenance;
-use crate::sai::{self, Exploration};
+use crate::sai;
+use usnae_graph::par::{Exploration, ScratchPool};
 use usnae_graph::partition::{GraphView, ShardView, ShardedCsr};
-use usnae_graph::{par, AdjStorage, Dist, GraphCore, HeapAdj, VertexId, WeightedEdge};
+use usnae_graph::{AdjStorage, Dist, GraphCore, HeapAdj, VertexId, WeightedEdge};
 use usnae_workers::{
     MessageStats, OutputRecord, ShardInit, TransportKind, WorkerError, WorkerPool,
 };
@@ -47,6 +56,14 @@ pub struct EngineReport {
     pub shards: Vec<usnae_graph::partition::ShardTiming>,
 }
 
+/// Bytes of search results (settled entries over all sources of a chunk)
+/// one chunk of [`Engine::for_each_ball`] /
+/// [`Engine::for_each_exploration`] aims to hold in flight: 2^20 ball
+/// entries or 2^19 exploration entries. On a worker pool every chunk is
+/// its own task with its own BFS rounds, so the budget also sets how
+/// many whole-graph balls share one set of rounds (256 at n = 4,096).
+const CHUNK_BYTES: usize = 16 << 20;
+
 /// Dispatches a construction's exploration primitives to the in-process
 /// fan-out or a [`WorkerPool`], per [`BuildConfig::transport`].
 ///
@@ -59,6 +76,10 @@ pub struct Engine<'g, S: AdjStorage = HeapAdj> {
     kind: TransportKind,
     pool: RefCell<Option<WorkerPool>>,
     error: RefCell<Option<WorkerError>>,
+    /// In-process search scratch, kept across every call of the build.
+    scratch: RefCell<ScratchPool>,
+    /// Maximum degree of the view, computed on first use.
+    max_degree: OnceCell<usize>,
 }
 
 impl<'g, S: AdjStorage> Engine<'g, S> {
@@ -68,14 +89,7 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
     /// binary is missing) stashes its error and the build runs in-process;
     /// [`finish`](Self::finish) surfaces the failure.
     pub fn new(g: &'g GraphCore<S>, cfg: &BuildConfig) -> Engine<'g, S> {
-        let view = cfg.graph_view(g);
-        let mut engine = Engine {
-            view,
-            threads: cfg.threads,
-            kind: TransportKind::Inproc,
-            pool: RefCell::new(None),
-            error: RefCell::new(None),
-        };
+        let mut engine = Engine::over(cfg.graph_view(g), cfg.threads);
         if cfg.transport != TransportKind::Inproc {
             if let Some(sharded) = engine.view.as_sharded() {
                 let inits = shard_inits(sharded, g.num_vertices());
@@ -94,12 +108,19 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
     /// A plain in-process engine over the shared adjacency array — the
     /// sequential wrappers' entry point.
     pub fn inproc(g: &'g GraphCore<S>, threads: usize) -> Engine<'g, S> {
+        Engine::over(GraphView::shared(g), threads)
+    }
+
+    fn over(view: GraphView<'g, S>, threads: usize) -> Engine<'g, S> {
+        let n = view.num_vertices();
         Engine {
-            view: GraphView::shared(g),
+            view,
             threads,
             kind: TransportKind::Inproc,
             pool: RefCell::new(None),
             error: RefCell::new(None),
+            scratch: RefCell::new(ScratchPool::new(n, threads)),
+            max_degree: OnceCell::new(),
         }
     }
 
@@ -124,45 +145,105 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
         }
     }
 
-    /// Sorted distance balls of every source (the [`par::balls`]
-    /// contract): per source, every `(v, dist)` with `dist <= depth`,
-    /// ascending by vertex id, the source included at distance 0.
+    /// Sorted distance balls of every source (the
+    /// [`usnae_graph::par::balls`] contract): per source, every
+    /// `(v, dist)` with `dist <= depth`, ascending by vertex id, the source
+    /// included at distance 0.
     pub fn balls(&self, sources: &[VertexId], depth: Dist) -> Vec<Vec<(VertexId, Dist)>> {
         if let Some(out) = self.with_pool(|pool| pool.balls(sources, depth)) {
             return out;
         }
-        par::balls(&self.view, sources, depth, self.threads)
+        self.scratch.borrow_mut().balls(&self.view, sources, depth)
     }
 
-    /// Full bounded explorations of every source — the
-    /// [`Exploration::run`] contract, FIFO-exact BFS parents included.
+    /// Sparse bounded explorations of every source, one per source in
+    /// order: distances plus FIFO-exact BFS-tree parents, computed
+    /// wherever this engine runs them.
     pub fn explorations(&self, sources: &[VertexId], depth: Dist) -> Vec<Exploration> {
-        let n = self.view.num_vertices();
-        if let Some(outcomes) = self.with_pool(|pool| pool.explorations(sources, depth)) {
-            return sources
-                .iter()
-                .zip(outcomes)
-                .map(|(&source, outcome)| {
-                    let mut dist = vec![None; n];
-                    let mut parent = vec![None; n];
-                    for (v, d, p) in outcome.settled {
-                        dist[v] = Some(d);
-                        parent[v] = p;
-                    }
-                    Exploration {
-                        source,
-                        dist,
-                        parent,
-                    }
-                })
-                .collect();
+        if let Some(out) = self.with_pool(|pool| pool.explorations(sources, depth)) {
+            return out;
         }
-        // Capture only the view: the closure must be Sync, the RefCells
-        // in `self` are not.
-        let view = &self.view;
-        par::map_indexed(self.threads, sources.len(), move |idx| {
-            Exploration::run(view, sources[idx], depth)
-        })
+        self.scratch
+            .borrow_mut()
+            .explorations(&self.view, sources, depth)
+    }
+
+    /// [`balls`](Self::balls) in bounded chunks: hands each source and its
+    /// ball to `consume`, in source order, and holds about `CHUNK_BYTES`
+    /// of balls at a time.
+    pub fn for_each_ball(
+        &self,
+        sources: &[VertexId],
+        depth: Dist,
+        consume: impl FnMut(VertexId, Vec<(VertexId, Dist)>),
+    ) {
+        let entries = CHUNK_BYTES / std::mem::size_of::<(VertexId, Dist)>();
+        let search = |c: &[VertexId]| self.balls(c, depth);
+        self.chunked(sources, depth, entries, search, Vec::len, consume);
+    }
+
+    /// [`explorations`](Self::explorations) in bounded chunks, like
+    /// [`for_each_ball`](Self::for_each_ball).
+    pub fn for_each_exploration(
+        &self,
+        sources: &[VertexId],
+        depth: Dist,
+        consume: impl FnMut(VertexId, Exploration),
+    ) {
+        let entries = CHUNK_BYTES / std::mem::size_of::<(VertexId, Dist, Option<VertexId>)>();
+        let search = |c: &[VertexId]| self.explorations(c, depth);
+        let size = |e: &Exploration| e.settled.len();
+        self.chunked(sources, depth, entries, search, size, consume);
+    }
+
+    /// The chunk loop behind [`for_each_ball`](Self::for_each_ball) and
+    /// [`for_each_exploration`](Self::for_each_exploration), holding about
+    /// `entries` settled entries in flight. The first chunk divides
+    /// `entries` by an upper bound on the ball size; each later chunk by
+    /// the mean ball the previous chunk settled. A chunk never drops below
+    /// the thread count.
+    fn chunked<T>(
+        &self,
+        sources: &[VertexId],
+        depth: Dist,
+        entries: usize,
+        mut search: impl FnMut(&[VertexId]) -> Vec<T>,
+        size: impl Fn(&T) -> usize,
+        mut consume: impl FnMut(VertexId, T),
+    ) {
+        let mut chunk = (entries / self.ball_bound(depth)).max(self.threads);
+        let mut rest = sources;
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(chunk.min(rest.len()));
+            let results = search(now);
+            let settled: usize = results.iter().map(&size).sum();
+            let mean = settled.div_ceil(now.len()).max(1);
+            chunk = (entries / mean).max(self.threads);
+            for (&source, result) in now.iter().zip(results) {
+                consume(source, result);
+            }
+            rest = later;
+        }
+    }
+
+    /// An upper bound on the ball of radius `depth` around any vertex: the
+    /// Moore bound `1 + Δ·Σ_{k<depth} (Δ−1)^k` for maximum degree `Δ`,
+    /// capped at `n`.
+    fn ball_bound(&self, depth: Dist) -> usize {
+        let n = self.view.num_vertices().max(1);
+        let delta = *self.max_degree.get_or_init(|| {
+            (0..self.view.num_vertices())
+                .map(|v| self.view.degree(v))
+                .max()
+                .unwrap_or(0)
+        });
+        let (mut bound, mut level, mut k) = (1usize, delta, 0);
+        while bound < n && level > 0 && k < depth {
+            bound = bound.saturating_add(level);
+            level = level.saturating_mul(delta - 1);
+            k += 1;
+        }
+        bound.min(n)
     }
 
     /// Deterministic greedy ruling-set carving (the
@@ -389,8 +470,8 @@ pub fn finalize_worker_build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usnae_graph::generators;
     use usnae_graph::partition::PartitionPolicy;
+    use usnae_graph::{generators, par};
 
     fn config(kind: TransportKind, shards: usize) -> BuildConfig {
         BuildConfig {
@@ -407,13 +488,10 @@ mod tests {
         let engine = Engine::inproc(&g, 2);
         let sources = [0, 7, 33];
         assert_eq!(engine.balls(&sources, 3), par::balls(&g, &sources, 3, 2));
-        let explorations = engine.explorations(&sources, 4);
-        for (&s, e) in sources.iter().zip(&explorations) {
-            let reference = Exploration::run(&g, s, 4);
-            assert_eq!(e.source, reference.source);
-            assert_eq!(e.dist, reference.dist);
-            assert_eq!(e.parent, reference.parent);
-        }
+        assert_eq!(
+            engine.explorations(&sources, 4),
+            ScratchPool::new(80, 1).explorations(&g, &sources, 4)
+        );
         let w: Vec<VertexId> = (0..80).step_by(3).collect();
         assert_eq!(engine.ruling_set(&w, 2), sai::ruling_set(&g, &w, 2));
         let report = engine.finish().unwrap();
@@ -431,14 +509,10 @@ mod tests {
         let engine = Engine::new(&g, &cfg);
         let sources = [1, 40, 77];
         assert_eq!(engine.balls(&sources, 4), par::balls(&g, &sources, 4, 2));
-        let explorations = engine.explorations(&sources, 5);
-        for (&s, e) in sources.iter().zip(&explorations) {
-            let reference = Exploration::run(&g, s, 5);
-            assert_eq!(
-                (e.source, &e.dist, &e.parent),
-                (s, &reference.dist, &reference.parent)
-            );
-        }
+        assert_eq!(
+            engine.explorations(&sources, 5),
+            ScratchPool::new(90, 1).explorations(&g, &sources, 5)
+        );
         let w: Vec<VertexId> = (0..90).step_by(2).collect();
         assert_eq!(engine.ruling_set(&w, 2), sai::ruling_set(&g, &w, 2));
         let report = engine.finish().unwrap();
@@ -446,6 +520,46 @@ mod tests {
         let stats = report.messages.expect("worker build measures messages");
         assert!(stats.rounds > 0 && stats.messages > 0 && stats.bytes > 0);
         assert_eq!(report.shards.len(), 3);
+    }
+
+    #[test]
+    fn chunked_task_one_matches_the_whole_batch() {
+        // Whole-graph searches over 2,100 vertices: a chunk holds at most
+        // CHUNK_BYTES / (16 B × 2,100) < 600 sources, so the loop crosses
+        // at least one chunk boundary inside the source list.
+        let g = generators::gnp_connected(2100, 0.003, 5).unwrap();
+        let sources: Vec<VertexId> = (0..2100).step_by(3).take(600).collect();
+        assert!(CHUNK_BYTES / (16 * 2100) < sources.len());
+        for threads in [1usize, 4] {
+            let engine = Engine::inproc(&g, threads);
+            let mut seen = Vec::new();
+            let whole = engine.explorations(&sources, Dist::MAX);
+            let mut i = 0;
+            engine.for_each_exploration(&sources, Dist::MAX, |s, e| {
+                assert_eq!(e, whole[i], "threads={threads} source={s}");
+                seen.push(s);
+                i += 1;
+            });
+            assert_eq!(seen, sources);
+            let balls = engine.balls(&sources, 2);
+            let mut i = 0;
+            engine.for_each_ball(&sources, 2, |_, ball| {
+                assert_eq!(ball, balls[i]);
+                i += 1;
+            });
+            assert_eq!(i, sources.len());
+        }
+    }
+
+    #[test]
+    fn ball_bound_is_the_capped_moore_bound() {
+        let g = generators::grid2d(10, 10).unwrap(); // max degree 4
+        let engine = Engine::inproc(&g, 1);
+        assert_eq!(engine.ball_bound(0), 1);
+        assert_eq!(engine.ball_bound(1), 5);
+        assert_eq!(engine.ball_bound(2), 17);
+        assert_eq!(engine.ball_bound(3), 53);
+        assert_eq!(engine.ball_bound(Dist::MAX), 100);
     }
 
     #[test]

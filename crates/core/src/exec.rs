@@ -48,10 +48,10 @@ impl std::fmt::Display for CacheStatus {
 
 /// Execution statistics of one build: thread count, total wall clock, and
 /// per-phase timings where the construction records them — the sharded
-/// centralized/fast/spanner family *and* the CONGEST simulations (whose
-/// `explorations` count the detection sources simulated per phase), so
-/// `usnae run --report` is uniform across the registry; only the baseline
-/// adapters report the total alone.
+/// centralized/fast/spanner family, the EM19 baseline, *and* the CONGEST
+/// simulations (whose `explorations` count the detection sources
+/// simulated per phase), so `usnae run --report` is uniform across the
+/// registry; the other baseline adapters report the total alone.
 ///
 /// A cache hit is visible here: `cache == CacheStatus::Hit` with `phases`
 /// empty (no phase work ran — `total` is just the snapshot load time).
@@ -101,17 +101,18 @@ impl BuildStats {
 
 /// Collects [`PhaseTiming`]s as a build's phase loop runs.
 #[derive(Debug, Default)]
-pub(crate) struct PhaseClock {
+pub struct PhaseClock {
     phases: Vec<PhaseTiming>,
 }
 
 impl PhaseClock {
-    pub(crate) fn new() -> Self {
+    /// A clock with no phases recorded.
+    pub fn new() -> Self {
         PhaseClock::default()
     }
 
     /// Times `f` as phase `phase`; `f` returns `(result, explorations)`.
-    pub(crate) fn measure<T>(&mut self, phase: usize, f: impl FnOnce() -> (T, usize)) -> T {
+    pub fn measure<T>(&mut self, phase: usize, f: impl FnOnce() -> (T, usize)) -> T {
         let t0 = Instant::now();
         let (out, explorations) = f();
         self.phases.push(PhaseTiming {
@@ -122,7 +123,8 @@ impl PhaseClock {
         out
     }
 
-    pub(crate) fn into_phases(self) -> Vec<PhaseTiming> {
+    /// The recorded timings, phase order.
+    pub fn into_phases(self) -> Vec<PhaseTiming> {
         self.phases
     }
 }

@@ -24,6 +24,7 @@ use crate::emulator::{EdgeKind, EdgeProvenance, Emulator};
 use crate::engine::Engine;
 use crate::exec::{PhaseClock, PhaseTiming};
 use crate::params::DistributedParams;
+use crate::sai::classify_centers;
 use usnae_graph::bfs::multi_source_bfs;
 use usnae_graph::{AdjStorage, Dist, Graph, GraphCore, VertexId};
 
@@ -123,28 +124,6 @@ pub(crate) fn build_fast_exec<S: AdjStorage>(
     (emulator, trace, clock.into_phases())
 }
 
-/// Neighboring centers of every entry of `centers` within `delta`. Task 1
-/// is status-free — one pure bounded BFS per center — so the whole scan
-/// fans out through the engine; each list is sorted by vertex id, the
-/// order the historical dense `Exploration` scan produced.
-fn neighbor_lists<S: AdjStorage>(
-    engine: &Engine<'_, S>,
-    centers: &[VertexId],
-    delta: Dist,
-    is_center: &[bool],
-) -> Vec<Vec<(VertexId, Dist)>> {
-    engine
-        .balls(centers, delta)
-        .into_iter()
-        .zip(centers)
-        .map(|(ball, &rc)| {
-            ball.into_iter()
-                .filter(|&(v, _)| v != rc && is_center[v])
-                .collect()
-        })
-        .collect()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_phase<S: AdjStorage>(
     g: &GraphCore<S>,
@@ -178,16 +157,26 @@ fn run_phase<S: AdjStorage>(
         superclustering_edges: 0,
     };
 
-    // Task 1: popular-cluster detection — the sharded per-center scan,
-    // reading local CSR shards (or a worker pool) when partitioned.
-    let neighbor_lists = neighbor_lists(engine, &centers, delta, &is_center);
+    // Task 1: popular-cluster detection — one pure bounded BFS per center,
+    // fanned out through the engine (local CSR shards or a worker pool when
+    // partitioned) in bounded chunks, consumed in center order. Each
+    // center keeps its neighboring centers, ascending by vertex id.
+    let (popular, neighbor_lists) = classify_centers(
+        |consume| engine.for_each_ball(&centers, delta, consume),
+        |rc, ball: Vec<(VertexId, Dist)>| {
+            // Collected from a borrowing iterator, so the short list gets
+            // a fresh buffer instead of keeping the whole ball's alive.
+            let nbrs: Vec<(VertexId, Dist)> = ball
+                .iter()
+                .copied()
+                .filter(|&(v, _)| v != rc && is_center[v])
+                .collect();
+            (nbrs.len(), nbrs)
+        },
+        cap,
+        last,
+    );
     let explorations = centers.len();
-    let popular: Vec<VertexId> = centers
-        .iter()
-        .zip(&neighbor_lists)
-        .filter(|(_, nbrs)| nbrs.len() >= cap)
-        .map(|(&rc, _)| rc)
-        .collect();
     phase_trace.num_popular = popular.len();
     debug_assert!(
         !last || popular.is_empty(),
@@ -252,6 +241,7 @@ fn run_phase<S: AdjStorage>(
             continue;
         }
         phase_trace.num_unclustered += 1;
+        let nbrs = nbrs.as_ref().expect("popular centers are superclustered");
         debug_assert!(
             nbrs.len() < cap,
             "U_i clusters are unpopular (Lemma 3.4): {} >= {cap}",

@@ -30,8 +30,9 @@
 //! All constructions are reached through the unified [`api`]: a fluent
 //! [`api::EmulatorBuilder`], one validated [`api::BuildConfig`], and the
 //! [`api::registry`] catalogue that algorithm-generic consumers iterate.
-//! The old per-construction free functions remain as deprecated shims for
-//! one release.
+//! The old per-construction free functions remain as `#[deprecated]`
+//! shims until they are removed; new code should use the builder or the
+//! registry.
 //!
 //! # Quickstart
 //!

@@ -1,80 +1,59 @@
 //! Shared primitives of the ruling-set-based SAI constructions (§3.3, §4).
 
+use crate::engine::Engine;
 use crate::exec::ChunkPolicy;
+use usnae_graph::par::{self, Exploration};
 use usnae_graph::partition::ShardView;
-use usnae_graph::{par, Dist, Graph, VertexId};
+use usnae_graph::{AdjStorage, Dist, Graph, VertexId};
 
-/// Bounded-BFS exploration record from one center: distances plus BFS-tree
-/// parents, so interconnection paths can be reconstructed (§4 adds the whole
-/// path to the spanner).
-#[derive(Debug, Clone)]
-pub struct Exploration {
-    /// Origin of the exploration.
-    pub source: VertexId,
-    /// `dist[v]` within the depth bound, else `None`.
-    pub dist: Vec<Option<Dist>>,
-    /// BFS parents toward `source`.
-    pub parent: Vec<Option<VertexId>>,
+/// Task 1 of a ruling-set phase, classified as its results arrive:
+/// `chunk_loop` runs one of the engine's chunk loops, handing each center
+/// and its search result to the callback in center order, and `keep` maps
+/// a result to its number of neighboring centers and the value
+/// interconnection may need.
+///
+/// Returns the popular centers (at least `cap` neighboring centers) and,
+/// per center, the kept value. Outside the last phase a popular center
+/// keeps none: the ruling set dominates it within `2δ_i`, and the ruling
+/// forest grows to depth `rul_i + δ_i ≥ 2δ_i` (as `ρ ≤ 1/2`), so it is
+/// always superclustered. The last phase grows no forest, so there every
+/// center keeps its value.
+pub fn classify_centers<R, T>(
+    chunk_loop: impl FnOnce(&mut dyn FnMut(VertexId, R)),
+    keep: impl Fn(VertexId, R) -> (usize, T),
+    cap: usize,
+    last: bool,
+) -> (Vec<VertexId>, Vec<Option<T>>) {
+    let mut popular = Vec::new();
+    let mut kept = Vec::new();
+    chunk_loop(&mut |rc, result| {
+        let (neighbors, value) = keep(rc, result);
+        let is_popular = neighbors >= cap;
+        if is_popular {
+            popular.push(rc);
+        }
+        kept.push((last || !is_popular).then_some(value));
+    });
+    (popular, kept)
 }
 
-impl Exploration {
-    /// Runs a bounded BFS from `source` to `depth`.
-    ///
-    /// Generic over [`ShardView`]: the exploration reads the shared
-    /// adjacency array or per-worker CSR shards interchangeably, with
-    /// identical output.
-    pub fn run<V: ShardView + ?Sized>(g: &V, source: VertexId, depth: Dist) -> Self {
-        let n = g.num_vertices();
-        let mut dist = vec![None; n];
-        let mut parent = vec![None; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[source] = Some(0);
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("queued vertices have distances");
-            if du == depth {
-                continue;
-            }
-            for &v in g.neighbors(u) {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    parent[v] = Some(u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        Exploration {
-            source,
-            dist,
-            parent,
-        }
-    }
-
-    /// Shortest path from `source` to `v` (inclusive), or `None` if `v` was
-    /// not reached.
-    pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
-        self.dist[v]?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(*path.last().expect("path nonempty"), self.source);
-        path.reverse();
-        Some(path)
-    }
-
-    /// Centers (per `is_center`) within the exploration radius, excluding the
-    /// source, with their distances.
-    pub fn centers_found(&self, is_center: &[bool]) -> Vec<(VertexId, Dist)> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter_map(|(v, d)| d.map(|d| (v, d)))
-            .filter(|&(v, _)| v != self.source && is_center[v])
-            .collect()
-    }
+/// [`classify_centers`] for the path-inserting constructions (the §4
+/// spanner and the EM19 baseline): each center keeps its exploration to
+/// `delta`, from which interconnection reads whole paths.
+pub fn explore_centers<S: AdjStorage>(
+    engine: &Engine<'_, S>,
+    centers: &[VertexId],
+    delta: Dist,
+    is_center: &[bool],
+    cap: usize,
+    last: bool,
+) -> (Vec<VertexId>, Vec<Option<Exploration>>) {
+    classify_centers(
+        |consume| engine.for_each_exploration(centers, delta, consume),
+        |_, e: Exploration| (e.centers_found(is_center).count(), e),
+        cap,
+        last,
+    )
 }
 
 /// Deterministic greedy min-id ball carving (substitution S1): a ruling set
@@ -164,48 +143,6 @@ pub(crate) fn ruling_set_impl(
 mod tests {
     use super::*;
     use usnae_graph::generators;
-
-    #[test]
-    fn exploration_matches_bfs() {
-        let g = generators::grid2d(6, 6).unwrap();
-        let e = Exploration::run(&g, 0, 4);
-        let d = usnae_graph::bfs::bfs_bounded(&g, 0, 4);
-        assert_eq!(e.dist, d);
-    }
-
-    #[test]
-    fn path_reconstruction_is_shortest() {
-        let g = generators::grid2d(5, 5).unwrap();
-        let e = Exploration::run(&g, 0, 10);
-        let p = e.path_to(24).unwrap();
-        assert_eq!(p.first(), Some(&0));
-        assert_eq!(p.last(), Some(&24));
-        assert_eq!(p.len() as u64 - 1, e.dist[24].unwrap());
-        // Consecutive vertices are adjacent.
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn path_to_unreached_is_none() {
-        let g = generators::path(10).unwrap();
-        let e = Exploration::run(&g, 0, 3);
-        assert!(e.path_to(7).is_none());
-        assert!(e.path_to(3).is_some());
-    }
-
-    #[test]
-    fn centers_found_filters() {
-        let g = generators::path(6).unwrap();
-        let mut is_center = vec![false; 6];
-        is_center[0] = true;
-        is_center[2] = true;
-        is_center[5] = true;
-        let e = Exploration::run(&g, 0, 3);
-        let found = e.centers_found(&is_center);
-        assert_eq!(found, vec![(2, 2)]); // 5 beyond depth; 0 is the source
-    }
 
     #[test]
     fn ruling_set_on_cycle() {

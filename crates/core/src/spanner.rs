@@ -21,10 +21,9 @@ use crate::emulator::{EdgeKind, EdgeProvenance, Emulator};
 use crate::engine::Engine;
 use crate::exec::{PhaseClock, PhaseTiming};
 use crate::params::SpannerParams;
+use crate::sai::explore_centers;
 use usnae_graph::bfs::multi_source_bfs;
 use usnae_graph::{AdjStorage, Dist, Graph, GraphCore, VertexId};
-
-use crate::sai::Exploration;
 
 /// Per-phase statistics of a spanner build.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,22 +178,13 @@ fn run_phase<S: AdjStorage>(
         interconnection_edges: 0,
     };
 
-    // Task 1: popular detection, keeping the explorations for path
-    // recovery. Each exploration is a pure function of G, so the whole
-    // scan fans out through the engine (thread pool or worker pool);
-    // results merge in center order, keeping the build deterministic.
-    let explorations: Vec<Exploration> = engine.explorations(&centers, delta);
-    let neighbor_lists: Vec<Vec<(VertexId, Dist)>> = explorations
-        .iter()
-        .map(|e| e.centers_found(&is_center))
-        .collect();
+    // Task 1: popular detection, keeping the explorations interconnection
+    // may need for path recovery. Each exploration is a pure function of
+    // G, so the scan fans out through the engine (thread pool or worker
+    // pool) in bounded chunks, consumed in center order — the build stays
+    // deterministic.
+    let (popular, explorations) = explore_centers(engine, &centers, delta, &is_center, cap, last);
     let num_explorations = centers.len();
-    let popular: Vec<VertexId> = centers
-        .iter()
-        .zip(&neighbor_lists)
-        .filter(|(_, nbrs)| nbrs.len() >= cap)
-        .map(|(&rc, _)| rc)
-        .collect();
     phase_trace.num_popular = popular.len();
     debug_assert!(
         !last || popular.is_empty(),
@@ -244,13 +234,17 @@ fn run_phase<S: AdjStorage>(
 
     // Interconnection: unclustered centers add shortest paths to *all*
     // neighboring centers (§3.1.3 semantics, subgraph edition).
-    for ((&rc, nbrs), expl) in centers.iter().zip(&neighbor_lists).zip(&explorations) {
+    for (&rc, expl) in centers.iter().zip(&explorations) {
         if superclustered[rc] {
             continue;
         }
         phase_trace.num_unclustered += 1;
-        debug_assert!(nbrs.len() < cap, "U_i clusters are unpopular (Lemma 3.4)");
-        for &(v, _) in nbrs {
+        let expl = expl.as_ref().expect("popular centers are superclustered");
+        debug_assert!(
+            expl.centers_found(&is_center).count() < cap,
+            "U_i clusters are unpopular (Lemma 3.4)"
+        );
+        for (v, _) in expl.centers_found(&is_center) {
             let path = expl
                 .path_to(v)
                 .expect("neighbor was reached by this exploration");

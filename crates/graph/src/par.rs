@@ -11,9 +11,13 @@
 //! * [`map_ranges`] / [`map_indexed`] fan a pure map over those shards and
 //!   merge per-shard results **in shard order**, so the merged vector is
 //!   identical for every thread count — including 1;
-//! * [`balls`] runs one bounded BFS per source through the fan-out,
-//!   returning each ball sorted by vertex id (the iteration order the
-//!   sequential constructions use when scanning a dense distance array).
+//! * [`ScratchPool`] runs one bounded BFS per source through the fan-out on
+//!   per-thread scratch it keeps across calls, returning sorted distance
+//!   balls ([`ScratchPool::balls`], or the one-shot [`balls`]) or sparse
+//!   [`Exploration`]s with BFS-tree parents
+//!   ([`ScratchPool::explorations`]), each sorted by vertex id (the
+//!   iteration order the sequential constructions use when scanning a
+//!   dense distance array).
 //!
 //! Determinism contract: for any `threads >= 1`, every function here
 //! returns *bit-identical* output to its `threads == 1` run. The parity
@@ -23,7 +27,6 @@
 use crate::graph::VertexId;
 use crate::partition::ShardView;
 use crate::{Dist, INF};
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Splits `0..len` into at most `shards` contiguous ranges of near-equal
@@ -66,15 +69,34 @@ where
     T: Send,
     F: Fn(Range<usize>) -> Vec<T> + Sync,
 {
-    let shards = shard_ranges(len, threads);
+    map_ranges_with(&mut vec![(); threads.max(1)], len, |_, r| f(r))
+}
+
+/// [`map_ranges`] with one piece of caller-owned per-thread state per
+/// shard: `0..len` splits into at most `states.len()` shards, and shard
+/// `s` runs `f(&mut states[s], range)`. The state outlives the call, so
+/// scratch space is paid for once across many calls.
+///
+/// # Panics
+///
+/// Panics when `states` is empty; propagates a panic from any worker
+/// thread.
+fn map_ranges_with<S, T, F>(states: &mut [S], len: usize, f: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut S, Range<usize>) -> Vec<T> + Sync,
+{
+    let shards = shard_ranges(len, states.len());
     if shards.len() <= 1 {
-        return f(0..len);
+        return f(&mut states[0], 0..len);
     }
     let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .into_iter()
-            .map(|r| scope.spawn(move || f(r)))
+            .zip(states.iter_mut())
+            .map(|(r, state)| scope.spawn(move || f(state, r)))
             .collect();
         let mut out = Vec::with_capacity(len);
         for h in handles {
@@ -94,13 +116,60 @@ where
     map_ranges(threads, len, |r| r.map(&f).collect())
 }
 
-/// Reusable bounded-BFS scratch: one dense distance array, reset sparsely
-/// (only the vertices the last search reached), so a shard of many
-/// small-ball searches pays the `O(n)` initialization once.
+/// One bounded-BFS exploration: every vertex the search reached, with its
+/// distance and its FIFO BFS-tree parent, ascending by vertex id — so its
+/// memory is the size of the ball, not of the graph. Interconnection
+/// paths (§4 adds whole shortest paths to the spanner) are read back with
+/// [`path_to`](Self::path_to).
+///
+/// The in-process fan-out ([`ScratchPool::explorations`]) and the worker
+/// pool (`usnae_workers::WorkerPool::explorations`) both return this type,
+/// byte-identically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Exploration {
+    /// `(v, dist, parent)` ascending by `v`; the source has distance 0 and
+    /// no parent.
+    pub settled: Vec<(VertexId, Dist, Option<VertexId>)>,
+}
+
+impl Exploration {
+    /// Shortest path from the source to `v` (both inclusive) along the
+    /// BFS tree, or `None` if `v` was not reached.
+    pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
+        let mut path = Vec::new();
+        let mut cur = Some(v);
+        while let Some(u) = cur {
+            path.push(u);
+            let i = self.settled.binary_search_by_key(&u, |&(w, ..)| w).ok()?;
+            cur = self.settled[i].2;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Reached vertices flagged in `is_center`, except the source, with
+    /// their distances, ascending by vertex id.
+    pub fn centers_found<'a>(
+        &'a self,
+        is_center: &'a [bool],
+    ) -> impl Iterator<Item = (VertexId, Dist)> + 'a {
+        self.settled
+            .iter()
+            .filter(move |&&(v, d, _)| d > 0 && is_center[v])
+            .map(|&(v, d, _)| (v, d))
+    }
+}
+
+/// Reusable bounded-BFS scratch: dense distance and parent arrays, reset
+/// sparsely (only the vertices the last search reached), so a shard of
+/// many small-ball searches pays the `O(n)` initialization once.
 #[derive(Debug, Clone)]
 pub struct BallScratch {
     dist: Vec<Dist>,
-    queue: VecDeque<VertexId>,
+    parent: Vec<VertexId>,
+    /// The FIFO queue of the current search. Nothing is ever popped, so
+    /// afterwards it holds exactly the reached vertices — the reset list.
+    queue: Vec<VertexId>,
 }
 
 impl BallScratch {
@@ -108,8 +177,50 @@ impl BallScratch {
     pub fn new(n: usize) -> Self {
         BallScratch {
             dist: vec![INF; n],
-            queue: VecDeque::new(),
+            parent: vec![0; n],
+            queue: Vec::new(),
         }
+    }
+
+    /// FIFO BFS from `source`, expanding vertices below `depth`; returns
+    /// `entry(v, dist, parent)` per reached vertex **ascending by vertex
+    /// id**, where `parent` is the first discoverer (`None` for the
+    /// source). The output is sized exactly.
+    fn search<V: ShardView + ?Sized, T>(
+        &mut self,
+        g: &V,
+        source: VertexId,
+        depth: Dist,
+        entry: impl Fn(VertexId, Dist, Option<VertexId>) -> T,
+    ) -> Vec<T> {
+        self.dist[source] = 0;
+        self.queue.push(source);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let du = self.dist[u];
+            if du == depth {
+                continue;
+            }
+            for &v in g.neighbors(u) {
+                if self.dist[v] == INF {
+                    self.dist[v] = du + 1;
+                    self.parent[v] = u;
+                    self.queue.push(v);
+                }
+            }
+        }
+        self.queue.sort_unstable();
+        let reached = self
+            .queue
+            .iter()
+            .map(|&v| entry(v, self.dist[v], (v != source).then(|| self.parent[v])))
+            .collect();
+        for &v in &self.queue {
+            self.dist[v] = INF;
+        }
+        self.queue.clear();
+        reached
     }
 
     /// Bounded BFS from `source` to depth `depth`, returning the reached
@@ -127,48 +238,97 @@ impl BallScratch {
         source: VertexId,
         depth: Dist,
     ) -> Vec<(VertexId, Dist)> {
-        let mut reached: Vec<(VertexId, Dist)> = Vec::new();
-        self.dist[source] = 0;
-        self.queue.push_back(source);
-        reached.push((source, 0));
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u];
-            if du == depth {
-                continue;
-            }
-            for &v in g.neighbors(u) {
-                if self.dist[v] == INF {
-                    self.dist[v] = du + 1;
-                    reached.push((v, du + 1));
-                    self.queue.push_back(v);
-                }
-            }
+        self.search(g, source, depth, |v, d, _| (v, d))
+    }
+
+    /// [`ball_sorted`](Self::ball_sorted) with BFS-tree parents: the
+    /// sequential FIFO search, each vertex's parent its first discoverer.
+    pub fn explore<V: ShardView + ?Sized>(
+        &mut self,
+        g: &V,
+        source: VertexId,
+        depth: Dist,
+    ) -> Exploration {
+        Exploration {
+            settled: self.search(g, source, depth, |v, d, p| (v, d, p)),
         }
-        for &(v, _) in &reached {
-            self.dist[v] = INF;
+    }
+}
+
+/// Per-thread [`BallScratch`]es for the fan-out, kept across calls: a
+/// caller that feeds many small batches (a chunked phase, a ruling-set
+/// carving) pays each thread's `O(n)` scratch once, not once per batch.
+/// Scratch is allocated on first use, one per shard actually run.
+#[derive(Debug)]
+pub struct ScratchPool {
+    n: usize,
+    threads: usize,
+    scratch: Vec<BallScratch>,
+}
+
+impl ScratchPool {
+    /// An empty pool for searches over an `n`-vertex graph, fanned out
+    /// over `threads` (at least 1).
+    pub fn new(n: usize, threads: usize) -> Self {
+        ScratchPool {
+            n,
+            threads: threads.max(1),
+            scratch: Vec::new(),
         }
-        self.queue.clear();
-        reached.sort_unstable_by_key(|&(v, _)| v);
-        reached
+    }
+
+    /// One [`BallScratch::ball_sorted`] per source; `out[i]` is the ball
+    /// of `sources[i]`. Identical output for every thread count and for
+    /// every [`ShardView`] layout (shared array or CSR shards).
+    pub fn balls<V: ShardView + ?Sized>(
+        &mut self,
+        g: &V,
+        sources: &[VertexId],
+        depth: Dist,
+    ) -> Vec<Vec<(VertexId, Dist)>> {
+        self.map(sources, |scratch, s| scratch.ball_sorted(g, s, depth))
+    }
+
+    /// One [`BallScratch::explore`] per source; `out[i]` explores from
+    /// `sources[i]`. Identical output for every thread count and layout.
+    pub fn explorations<V: ShardView + ?Sized>(
+        &mut self,
+        g: &V,
+        sources: &[VertexId],
+        depth: Dist,
+    ) -> Vec<Exploration> {
+        self.map(sources, |scratch, s| scratch.explore(g, s, depth))
+    }
+
+    fn map<T: Send>(
+        &mut self,
+        sources: &[VertexId],
+        f: impl Fn(&mut BallScratch, VertexId) -> T + Sync,
+    ) -> Vec<T> {
+        let shards = shard_ranges(sources.len(), self.threads).len();
+        if shards == 0 {
+            return Vec::new();
+        }
+        while self.scratch.len() < shards {
+            self.scratch.push(BallScratch::new(self.n));
+        }
+        map_ranges_with(&mut self.scratch[..shards], sources.len(), |scratch, r| {
+            r.map(|i| f(scratch, sources[i])).collect()
+        })
     }
 }
 
 /// One bounded BFS per source, fanned out over `threads` shards; `out[i]`
 /// is the ball of `sources[i]` sorted by vertex id (see
-/// [`BallScratch::ball_sorted`]). Identical output for every thread count
-/// and for every [`ShardView`] layout (shared array or CSR shards).
+/// [`BallScratch::ball_sorted`]). A one-shot [`ScratchPool::balls`]:
+/// callers issuing many batches should keep a pool instead.
 pub fn balls<V: ShardView + ?Sized>(
     g: &V,
     sources: &[VertexId],
     depth: Dist,
     threads: usize,
 ) -> Vec<Vec<(VertexId, Dist)>> {
-    map_ranges(threads, sources.len(), |range| {
-        let mut scratch = BallScratch::new(g.num_vertices());
-        range
-            .map(|i| scratch.ball_sorted(g, sources[i], depth))
-            .collect()
-    })
+    ScratchPool::new(g.num_vertices(), threads).balls(g, sources, depth)
 }
 
 #[cfg(test)]
@@ -244,9 +404,12 @@ mod tests {
         let g = generators::grid2d(12, 12).unwrap();
         let mut scratch = BallScratch::new(144);
         let first = scratch.ball_sorted(&g, 0, 4);
+        let first_exploration = scratch.explore(&g, 0, 4);
         let _middle = scratch.ball_sorted(&g, 77, 6);
-        let again = scratch.ball_sorted(&g, 0, 4);
-        assert_eq!(first, again);
+        let _whole = scratch.explore(&g, 143, INF);
+        assert_eq!(scratch.ball_sorted(&g, 0, 4), first);
+        assert_eq!(scratch.explore(&g, 0, 4), first_exploration);
+        assert_eq!(first_exploration, BallScratch::new(144).explore(&g, 0, 4));
     }
 
     #[test]
@@ -290,9 +453,79 @@ mod tests {
     }
 
     #[test]
+    fn exploration_distances_match_bounded_bfs() {
+        let g = generators::grid2d(6, 6).unwrap();
+        let mut scratch = BallScratch::new(36);
+        let e = scratch.explore(&g, 0, 4);
+        let dense: Vec<(VertexId, Dist)> = bfs::bfs_bounded(&g, 0, 4)
+            .iter()
+            .enumerate()
+            .filter_map(|(v, d)| d.map(|d| (v, d)))
+            .collect();
+        let ball: Vec<(VertexId, Dist)> = e.settled.iter().map(|&(v, d, _)| (v, d)).collect();
+        assert_eq!(ball, dense);
+        assert_eq!(ball, scratch.ball_sorted(&g, 0, 4));
+    }
+
+    #[test]
+    fn path_reconstruction_is_shortest() {
+        let g = generators::grid2d(5, 5).unwrap();
+        let e = BallScratch::new(25).explore(&g, 0, 10);
+        let p = e.path_to(24).unwrap();
+        assert_eq!(p.first(), Some(&0));
+        assert_eq!(p.last(), Some(&24));
+        assert_eq!(p.len() as u64 - 1, e.settled.last().unwrap().1);
+        for w in p.windows(2) {
+            assert!(g.has_edge(w[0], w[1]));
+        }
+        assert_eq!(e.path_to(0), Some(vec![0]));
+    }
+
+    #[test]
+    fn path_to_unreached_is_none() {
+        let g = generators::path(10).unwrap();
+        let e = BallScratch::new(10).explore(&g, 0, 3);
+        assert!(e.path_to(7).is_none());
+        assert_eq!(e.path_to(3), Some(vec![0, 1, 2, 3]));
+    }
+
+    #[test]
+    fn centers_found_skips_the_source_and_unflagged_vertices() {
+        let g = generators::path(6).unwrap();
+        let mut is_center = vec![false; 6];
+        is_center[0] = true;
+        is_center[2] = true;
+        is_center[5] = true;
+        let e = BallScratch::new(6).explore(&g, 0, 3);
+        // 5 lies beyond the depth; 0 is the source.
+        assert_eq!(
+            e.centers_found(&is_center).collect::<Vec<_>>(),
+            vec![(2, 2)]
+        );
+    }
+
+    #[test]
+    fn pooled_scratch_is_reused_across_batches() {
+        let g = generators::gnp_connected(150, 0.05, 3).unwrap();
+        let sources: Vec<VertexId> = (0..150).step_by(7).collect();
+        let whole = ScratchPool::new(150, 1).explorations(&g, &sources, 3);
+        for threads in [1usize, 4] {
+            let mut pool = ScratchPool::new(150, threads);
+            let mut chunked = Vec::new();
+            for chunk in sources.chunks(5) {
+                chunked.extend(pool.explorations(&g, chunk, 3));
+                assert_eq!(pool.balls(&g, chunk, 3), balls(&g, chunk, 3, 1));
+            }
+            assert_eq!(chunked, whole, "threads={threads}");
+            assert!(pool.scratch.len() <= threads);
+        }
+    }
+
+    #[test]
     fn empty_inputs_are_fine() {
         let g = generators::path(4).unwrap();
         assert!(balls(&g, &[], 3, 4).is_empty());
+        assert!(ScratchPool::new(4, 2).explorations(&g, &[], 3).is_empty());
         assert!(map_indexed(4, 0, |i| i).is_empty());
         assert!(shard_ranges(0, 4).is_empty());
     }

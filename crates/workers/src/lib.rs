@@ -35,8 +35,9 @@
 //! For every transport, shard count, and worker interleaving, the results
 //! returned by [`WorkerPool::balls`] and [`WorkerPool::explorations`] are
 //! **byte-identical** to the in-process references
-//! ([`usnae_graph::par::balls`] and the FIFO-BFS `Exploration` in
-//! `usnae_core`). The mechanisms:
+//! ([`usnae_graph::par::balls`] and the FIFO-BFS
+//! [`usnae_graph::par::Exploration`], the one type both paths return).
+//! The mechanisms:
 //!
 //! * BFS levels advance in lockstep (one exchange barrier per level), so
 //!   distances are interleaving-independent by construction;
@@ -64,7 +65,7 @@ pub mod stats;
 pub mod worker;
 
 pub use error::WorkerError;
-pub use pool::{ExplorationOutcome, WorkerPool};
+pub use pool::WorkerPool;
 pub use proto::{Candidate, OutputRecord, Request, Response, ShardInit, Task};
 pub use stats::{MessageStats, PairStats, TransportKind};
 pub use worker::ShardWorker;

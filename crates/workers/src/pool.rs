@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use usnae_graph::par::Exploration;
 use usnae_graph::{Dist, VertexId};
 
 use crate::channel::ChannelTransport;
@@ -34,17 +35,6 @@ type SettledBall = Vec<(VertexId, Dist, u64)>;
 /// One shard's rank-protocol submission: the shard id plus, per ball, its
 /// `(parent_rank, vertex)` keys in the shard's own submission order.
 type ShardKeys = (usize, Vec<(u32, Vec<(u64, VertexId)>)>);
-
-/// One merged exploration result: every settled vertex with its distance
-/// and BFS-tree parent, sorted by vertex id. Semantically identical to
-/// the dense `Exploration` arrays of `usnae_core` (which rebuilds them
-/// from this sparse form).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplorationOutcome {
-    /// `(vertex, distance, parent)` ascending by vertex; the source has
-    /// distance 0 and no parent.
-    pub settled: Vec<(VertexId, Dist, Option<VertexId>)>,
-}
 
 #[derive(Default)]
 struct StatsAccum {
@@ -187,8 +177,10 @@ impl WorkerPool {
             .collect())
     }
 
-    /// Full explorations of every source (the `Exploration::run`
-    /// contract): distances plus FIFO-exact BFS-tree parents.
+    /// Full explorations of every source (the
+    /// `usnae_graph::par::ScratchPool::explorations` contract): distances
+    /// plus FIFO-exact BFS-tree parents, in the same sparse
+    /// [`Exploration`] the in-process fan-out returns.
     ///
     /// # Errors
     ///
@@ -197,11 +189,11 @@ impl WorkerPool {
         &mut self,
         sources: &[VertexId],
         depth: Dist,
-    ) -> Result<Vec<ExplorationOutcome>, WorkerError> {
+    ) -> Result<Vec<Exploration>, WorkerError> {
         let results = self.run_task(Task::Explorations, sources, depth)?;
         Ok(results
             .into_iter()
-            .map(|ball| ExplorationOutcome {
+            .map(|ball| Exploration {
                 settled: ball
                     .into_iter()
                     .map(|(v, d, p)| (v, d, p.checked_sub(1).map(|p| p as VertexId)))

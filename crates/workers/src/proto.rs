@@ -79,8 +79,9 @@ pub enum Task {
     /// Sorted distance balls (the `par::balls` contract): per ball, every
     /// `(v, dist)` with `dist <= depth`, sorted by vertex id.
     Balls,
-    /// Full BFS explorations (the `Exploration::run` contract): balls plus
-    /// FIFO-exact BFS-tree parents, resolved through the rank protocol.
+    /// Full BFS explorations (the `par::BallScratch::explore` contract):
+    /// balls plus FIFO-exact BFS-tree parents, resolved through the rank
+    /// protocol.
     Explorations,
 }
 

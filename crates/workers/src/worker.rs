@@ -13,8 +13,8 @@
 //!   discoveries settle immediately during expansion; one exchange per
 //!   BFS level.
 //! * [`Task::Explorations`] — distances *and* FIFO-exact BFS-tree parents
-//!   (the `Exploration::run` contract). Discoveries are buffered as
-//!   candidates (a remote parent may have a smaller FIFO rank), settled at
+//!   (the `par::BallScratch::explore` contract). Discoveries are buffered
+//!   as candidates (a remote parent may have a smaller FIFO rank), settled at
 //!   the next round's merge by the minimum-parent-rank rule, and queued in
 //!   the exact sequential FIFO order via the driver-assisted rank
 //!   protocol; two exchanges per level.

@@ -1,8 +1,9 @@
 //! Pool-level conformance: for both transports, every shard count, and
 //! adversarial interleavings, [`WorkerPool`] results are identical to the
 //! in-process references — `usnae_graph::par::balls` for distance balls,
-//! and a sequential FIFO BFS (the `Exploration::run` contract) for full
-//! explorations.
+//! and a sequential FIFO BFS oracle for full explorations. The in-process
+//! explorations (`usnae_graph::par::ScratchPool`) are held to the same
+//! oracle, so both paths return one `usnae_graph::par::Exploration` value.
 //!
 //! Living in the workers crate's own integration tests means
 //! `CARGO_BIN_EXE_usnae-worker` is available, so the process transport is
@@ -11,8 +12,9 @@
 use std::collections::VecDeque;
 use std::sync::Once;
 
-use usnae_graph::partition::{boundaries, PartitionPolicy};
-use usnae_graph::{generators, par, Dist, Graph, VertexId};
+use usnae_graph::par::ScratchPool;
+use usnae_graph::partition::{boundaries, PartitionPolicy, ShardView, ShardedCsr};
+use usnae_graph::{generators, par, Dist, Graph, VertexId, INF};
 use usnae_workers::proto::ShardInit;
 use usnae_workers::{TransportKind, WorkerPool};
 
@@ -57,7 +59,8 @@ fn pool(g: &Graph, kind: TransportKind, shards: usize) -> WorkerPool {
 
 /// The sequential oracle for explorations: FIFO BFS with first-discovery
 /// parents and the `dist == depth` expansion cutoff, reported as sorted
-/// `(v, dist, parent)` triples — exactly `Exploration::run`'s semantics.
+/// `(v, dist, parent)` triples — the `usnae_graph::par::Exploration`
+/// contract.
 fn reference_exploration(
     g: &Graph,
     source: VertexId,
@@ -198,4 +201,39 @@ fn single_shard_pools_also_conform() {
         assert_eq!(got[i].settled, reference_exploration(&g, s, 3));
     }
     p.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn in_process_explorations_match_the_fifo_oracle() {
+    for g in graphs() {
+        let n = g.num_vertices();
+        let srcs: Vec<VertexId> = (0..n).step_by(3).collect();
+        let mut layouts: Vec<(String, Box<dyn ShardView>)> =
+            vec![("shared".into(), Box::new(g.clone()))];
+        for shards in [1usize, 2, 4, 7] {
+            let layout = ShardedCsr::build(&g, PartitionPolicy::DegreeBalanced, shards);
+            layouts.push((format!("csr x{shards}"), Box::new(layout)));
+        }
+        for (name, layout) in &layouts {
+            for threads in [1usize, 4] {
+                // One pool for every depth and chunk: a search that left
+                // residue in its scratch would corrupt every later one.
+                let mut pool = ScratchPool::new(n, threads);
+                for depth in [0u64, 1, 3, INF] {
+                    // A chunk boundary inside the source list.
+                    let (head, tail) = srcs.split_at(srcs.len() / 3);
+                    let mut got = pool.explorations(layout.as_ref(), head, depth);
+                    got.extend(pool.explorations(layout.as_ref(), tail, depth));
+                    assert_eq!(got.len(), srcs.len());
+                    for (e, &s) in got.iter().zip(&srcs) {
+                        assert_eq!(
+                            e.settled,
+                            reference_exploration(&g, s, depth),
+                            "{name} threads={threads} depth={depth} source={s}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
