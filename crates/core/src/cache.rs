@@ -47,7 +47,7 @@ use crate::exec::{
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 use usnae_congest::Metrics;
 use usnae_graph::metrics::Fnv64;
 use usnae_graph::{ByteMap, Dist, Graph, StorageError, VertexId, WeightedEdge};
@@ -216,8 +216,14 @@ impl CacheKey {
         algorithm: &str,
         cfg: &BuildConfig,
     ) -> Self {
+        Self::from_fingerprint(usnae_graph::metrics::fingerprint(g), algorithm, cfg)
+    }
+
+    /// The key for a graph whose fingerprint is already known (the serve
+    /// daemon memoizes it per graph file).
+    pub fn from_fingerprint(graph_fingerprint: u64, algorithm: &str, cfg: &BuildConfig) -> Self {
         CacheKey {
-            graph_fingerprint: usnae_graph::metrics::fingerprint(g),
+            graph_fingerprint,
             algorithm: algorithm.to_string(),
             config_digest: cfg.stable_digest(),
         }
@@ -1670,11 +1676,99 @@ pub struct CacheUsage {
     pub evictions: u64,
 }
 
+/// How long after a file's mtime its identity still cannot vouch for its
+/// content: a rewrite inside one timestamp tick keeps inode, length and
+/// mtime (git's racy-index rule; one second covers filesystems that
+/// store whole-second mtimes).
+const RACY_WINDOW: Duration = Duration::from_secs(1);
+
+/// A file's identity as one `stat` reports it: device, inode, length and
+/// modification time. The two memos of the serve path (parsed graphs and
+/// verified cache entries) trust what they read from a file for as long
+/// as its path keeps the identity [`FileId::read_through`] recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FileId {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime: SystemTime,
+}
+
+impl FileId {
+    /// The identity of the file at `path` (one `stat`, following links).
+    pub(crate) fn of(path: &Path) -> std::io::Result<FileId> {
+        let meta = std::fs::metadata(path)?;
+        #[cfg(unix)]
+        let (dev, ino) = {
+            use std::os::unix::fs::MetadataExt;
+            (meta.dev(), meta.ino())
+        };
+        #[cfg(not(unix))]
+        let (dev, ino) = (0, 0);
+        Ok(FileId {
+            dev,
+            ino,
+            len: meta.len(),
+            mtime: meta.modified()?,
+        })
+    }
+
+    /// Runs `read` over the file at `path` and returns its result with
+    /// the identity that may vouch for it later: the file's identity if
+    /// it was the same before and after `read` and its mtime lay at least
+    /// [`RACY_WINDOW`] in the past when `read` began. `None` means the
+    /// next request must read the file again.
+    pub(crate) fn read_through<T>(path: &Path, read: impl FnOnce() -> T) -> (T, Option<FileId>) {
+        let began = SystemTime::now();
+        let before = FileId::of(path).ok();
+        let out = read();
+        let after = FileId::of(path).ok();
+        let settled = |id: &FileId| {
+            began
+                .duration_since(id.mtime)
+                .is_ok_and(|age| age >= RACY_WINDOW)
+        };
+        let id = before.filter(|id| Some(*id) == after && settled(id));
+        (out, id)
+    }
+}
+
+/// What a warm [`EvictingCache::lookup`] answers about an entry: the
+/// header fields of a fully opened [`MappedSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EntryMeta {
+    /// Stored stream fingerprint (the identity of the output).
+    pub(crate) stream_fingerprint: u64,
+    /// Emulator vertex count.
+    pub(crate) num_vertices: usize,
+    /// Distinct-edge count.
+    pub(crate) num_edges: usize,
+}
+
+/// One entry of the [`EvictingCache`] index.
+#[derive(Debug)]
+struct Resident {
+    /// File size in bytes (what the budget counts).
+    bytes: u64,
+    /// The file identity a full [`MappedSnapshot::open`] verified, and
+    /// what that open read.
+    verified: Option<(FileId, EntryMeta)>,
+}
+
+impl Resident {
+    fn new(bytes: u64) -> Self {
+        Resident {
+            bytes,
+            verified: None,
+        }
+    }
+}
+
 /// Recency index + counters behind the [`EvictingCache`] mutex.
 #[derive(Debug, Default)]
 struct EvictState {
-    /// Entry file name → size in bytes, for every resident entry.
-    sizes: BTreeMap<String, u64>,
+    /// Entry file name → its record, for every resident entry.
+    entries: BTreeMap<String, Resident>,
     /// Entry file names, least-recently-used first.
     recency: std::collections::VecDeque<String>,
     hits: u64,
@@ -1693,8 +1787,21 @@ impl EvictState {
         self.recency.push_back(name.to_string());
     }
 
+    /// Counts a hit on `name`, indexing it first when another handle or
+    /// process published it.
+    fn hit(&mut self, name: &str, path: &Path) {
+        if !self.entries.contains_key(name) {
+            if let Ok(meta) = std::fs::metadata(path) {
+                self.entries
+                    .insert(name.to_string(), Resident::new(meta.len()));
+            }
+        }
+        self.touch(name);
+        self.hits += 1;
+    }
+
     fn bytes_resident(&self) -> u64 {
-        self.sizes.values().sum()
+        self.entries.values().map(|r| r.bytes).sum()
     }
 }
 
@@ -1723,7 +1830,10 @@ impl EvictState {
 ///
 /// Counters (hits/misses/stores/evictions) feed the daemon's `stats`
 /// response. The index tracks entries this handle has seen; entries
-/// published by other processes join it when first loaded.
+/// published by other processes join it when first loaded. Each record
+/// also holds the file identity a full open verified, so the serve
+/// daemon's warm lookup costs one `stat` while the entry file is
+/// unchanged; eviction drops the record with the entry.
 #[derive(Debug)]
 pub struct EvictingCache {
     inner: ConstructionCache,
@@ -1747,7 +1857,7 @@ impl EvictingCache {
                 continue;
             };
             let bytes = std::fs::metadata(&path)?.len();
-            state.sizes.insert(name.to_string(), bytes);
+            state.entries.insert(name.to_string(), Resident::new(bytes));
             state.recency.push_back(name.to_string());
         }
         let cache = EvictingCache {
@@ -1780,7 +1890,7 @@ impl EvictingCache {
             let Some(name) = state.recency.pop_front() else {
                 break;
             };
-            state.sizes.remove(&name);
+            state.entries.remove(&name);
             state.evictions += 1;
             // A missing file just means a concurrent clear got there
             // first; the index entry is gone either way.
@@ -1798,17 +1908,7 @@ impl EvictingCache {
         let loaded = self.inner.load(key);
         let mut state = self.state.lock().expect("cache state lock");
         match &loaded {
-            Ok(Some(_)) => {
-                let name = key.file_name();
-                if !state.sizes.contains_key(&name) {
-                    // Published by another handle/process: adopt it.
-                    if let Ok(meta) = std::fs::metadata(self.inner.entry_path(key)) {
-                        state.sizes.insert(name.clone(), meta.len());
-                    }
-                }
-                state.touch(&name);
-                state.hits += 1;
-            }
+            Ok(Some(_)) => state.hit(&key.file_name(), &self.inner.entry_path(key)),
             _ => state.misses += 1,
         }
         loaded
@@ -1839,16 +1939,53 @@ impl EvictingCache {
                 requested: key.to_string(),
             });
         }
-        let mut state = self.state.lock().expect("cache state lock");
+        self.state
+            .lock()
+            .expect("cache state lock")
+            .hit(&key.file_name(), &path);
+        Ok(Some(mapped))
+    }
+
+    /// The serve daemon's warm lookup: the entry for `key`, answered
+    /// from its index record with one `stat` when the entry file still
+    /// has the identity a full open verified. Any other file — first
+    /// sight, a file renamed over the entry, a deleted file, a racy
+    /// timestamp — goes through [`open_mapped`](Self::open_mapped)
+    /// (checksum plus structure), and the identity is recorded only when
+    /// it was the same before and after that open and not racy. Hits,
+    /// misses and recency count as in `open_mapped`.
+    ///
+    /// # Errors
+    ///
+    /// As [`open_mapped`](Self::open_mapped).
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Result<Option<EntryMeta>, SnapshotError> {
         let name = key.file_name();
-        if !state.sizes.contains_key(&name) {
-            if let Ok(meta) = std::fs::metadata(&path) {
-                state.sizes.insert(name.clone(), meta.len());
+        let path = self.inner.entry_path(key);
+        if let Ok(id) = FileId::of(&path) {
+            let mut state = self.state.lock().expect("cache state lock");
+            let recorded = state.entries.get(&name).and_then(|r| r.verified);
+            if let Some((_, meta)) = recorded.filter(|(verified, _)| *verified == id) {
+                state.touch(&name);
+                state.hits += 1;
+                return Ok(Some(meta));
             }
         }
-        state.touch(&name);
-        state.hits += 1;
-        Ok(Some(mapped))
+        let (opened, id) = FileId::read_through(&path, || self.open_mapped(key));
+        let Some(mapped) = opened? else {
+            return Ok(None);
+        };
+        let meta = EntryMeta {
+            stream_fingerprint: mapped.stream_fingerprint(),
+            num_vertices: mapped.num_vertices(),
+            num_edges: mapped.num_edges(),
+        };
+        if let Some(id) = id {
+            let mut state = self.state.lock().expect("cache state lock");
+            if let Some(resident) = state.entries.get_mut(&name) {
+                resident.verified = Some((id, meta));
+            }
+        }
+        Ok(Some(meta))
     }
 
     /// Atomically publishes `snapshot`, indexes it as most recently used,
@@ -1867,7 +2004,7 @@ impl EvictingCache {
             .unwrap_or_else(|_| snapshot.encode().len() as u64);
         let name = snapshot.key.file_name();
         let mut state = self.state.lock().expect("cache state lock");
-        state.sizes.insert(name.clone(), bytes);
+        state.entries.insert(name.clone(), Resident::new(bytes));
         state.touch(&name);
         state.stores += 1;
         self.evict_to_budget(&mut state);
@@ -1879,7 +2016,7 @@ impl EvictingCache {
     pub fn usage(&self) -> CacheUsage {
         let state = self.state.lock().expect("cache state lock");
         CacheUsage {
-            entries: state.sizes.len(),
+            entries: state.entries.len(),
             bytes_resident: state.bytes_resident(),
             budget: self.budget,
             hits: state.hits,
@@ -2486,6 +2623,162 @@ mod tests {
             CacheStatus::Miss,
             "write-only never reads"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn set_mtime(path: &Path, mtime: SystemTime) {
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+    }
+
+    /// Overwrites `path` in place with `bytes` (same length) and restores
+    /// `mtime`: device, inode, length and mtime all stay the same.
+    fn rewrite_in_place(path: &Path, bytes: &[u8], mtime: SystemTime) {
+        use std::io::Write;
+        let mut f = std::fs::File::options().write(true).open(path).unwrap();
+        f.write_all(bytes).unwrap();
+        f.set_modified(mtime).unwrap();
+    }
+
+    /// The sample entry, stored in a fresh cache over `dir`, with its file
+    /// backdated past the racy window so that a full open records its
+    /// identity. Returns the cache, key, entry path and the backdated
+    /// mtime.
+    fn aged_entry(
+        dir: &Path,
+        budget: Option<u64>,
+    ) -> (EvictingCache, CacheKey, PathBuf, SystemTime) {
+        let (_, out, key) = sample_output();
+        let cache = EvictingCache::open(dir, budget).unwrap();
+        let path = cache
+            .store(&Snapshot::from_output(key.clone(), &out))
+            .unwrap();
+        let aged = SystemTime::now() - Duration::from_secs(60);
+        set_mtime(&path, aged);
+        (cache, key, path, aged)
+    }
+
+    /// The entry's bytes with one byte of the checksummed content flipped.
+    fn corrupted(path: &Path) -> Vec<u8> {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[V4_HEADER] ^= 0xff;
+        bytes
+    }
+
+    #[test]
+    fn file_identity_vouches_only_for_settled_unchanged_reads() {
+        let dir = temp_dir("file-id");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        std::fs::write(&path, b"one").unwrap();
+        set_mtime(&path, SystemTime::now() - Duration::from_secs(60));
+        let (read, id) = FileId::read_through(&path, || std::fs::read(&path).unwrap());
+        assert_eq!(read, b"one");
+        assert_eq!(id, Some(FileId::of(&path).unwrap()));
+        // Rewritten while it was read: nothing vouches for what was read.
+        let (_, id) = FileId::read_through(&path, || std::fs::write(&path, b"two!").unwrap());
+        assert_eq!(id, None);
+        // An mtime not yet a racy window in the past (here ahead of the
+        // clock, so no scheduling delay can age it) vouches for nothing.
+        set_mtime(&path, SystemTime::now() + Duration::from_secs(3600));
+        assert_eq!(FileId::read_through(&path, || ()).1, None);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(FileId::read_through(&path, || ()).1, None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_lookup_of_an_unchanged_entry_does_not_reread_it() {
+        let dir = temp_dir("lookup-warm");
+        let (cache, key, path, aged) = aged_entry(&dir, None);
+        let first = cache.lookup(&key).unwrap().expect("stored entry");
+        assert_eq!(
+            first.stream_fingerprint,
+            sample_output().1.stream_fingerprint()
+        );
+        // Corrupt the content under an unchanged identity: only a lookup
+        // that re-read the file could tell.
+        rewrite_in_place(&path, &corrupted(&path), aged);
+        assert!(MappedSnapshot::open(&path).is_err(), "the file is corrupt");
+        assert_eq!(cache.lookup(&key).unwrap(), Some(first));
+        let usage = cache.usage();
+        assert_eq!((usage.hits, usage.misses), (2, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racy_entries_are_reopened_by_every_lookup() {
+        let dir = temp_dir("lookup-racy");
+        let (cache, key, path, _) = aged_entry(&dir, None);
+        // An mtime inside the racy window: a same-length rewrite within
+        // the same timestamp tick would keep it.
+        let racy = SystemTime::now() + Duration::from_secs(3600);
+        set_mtime(&path, racy);
+        assert!(cache.lookup(&key).unwrap().is_some());
+        rewrite_in_place(&path, &corrupted(&path), racy);
+        assert_eq!(cache.lookup(&key).unwrap(), None, "re-verified: a miss");
+        assert_eq!(cache.usage().misses, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_file_renamed_over_a_verified_entry_reads_as_a_miss() {
+        let dir = temp_dir("lookup-renamed");
+        let (cache, key, path, aged) = aged_entry(&dir, None);
+        assert!(cache.lookup(&key).unwrap().is_some());
+        // Same length and mtime as the verified file; only the inode
+        // differs.
+        let tmp = dir.join("corrupt.tmp");
+        std::fs::write(&tmp, corrupted(&path)).unwrap();
+        set_mtime(&tmp, aged);
+        std::fs::rename(&tmp, &path).unwrap();
+        assert_eq!(cache.lookup(&key).unwrap(), None);
+        assert_eq!(cache.usage().misses, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_deleted_by_another_handle_reads_as_a_miss() {
+        let dir = temp_dir("lookup-deleted");
+        let (cache, key, _, _) = aged_entry(&dir, None);
+        assert!(cache.lookup(&key).unwrap().is_some());
+        assert!(cache.lookup(&key).unwrap().is_some());
+        assert_eq!(ConstructionCache::new(&dir).clear().unwrap(), 1);
+        assert_eq!(cache.lookup(&key).unwrap(), None);
+        let usage = cache.usage();
+        assert_eq!((usage.hits, usage.misses), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_drops_the_verified_record() {
+        let dir = temp_dir("lookup-evict");
+        let (g, out, key) = sample_output();
+        let size = Snapshot::from_output(key.clone(), &out).encode().len() as u64;
+        let (cache, _, _, _) = aged_entry(&dir, Some(size * 3 / 2));
+        assert!(cache.lookup(&key).unwrap().is_some());
+        let verified = |cache: &EvictingCache| {
+            let state = cache.state.lock().unwrap();
+            state
+                .entries
+                .get(&key.file_name())
+                .map(|r| r.verified.is_some())
+        };
+        assert_eq!(verified(&cache), Some(true));
+        // Another key under a one-entry budget evicts the verified one.
+        let cfg = BuildConfig {
+            seed: 1,
+            ..BuildConfig::default()
+        };
+        let other = CacheKey::new(&g, key.algorithm.as_str(), &cfg);
+        cache.store(&Snapshot::from_output(other, &out)).unwrap();
+        assert_eq!(cache.usage().evictions, 1);
+        assert_eq!(verified(&cache), None, "the record left with its entry");
+        assert_eq!(cache.lookup(&key).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

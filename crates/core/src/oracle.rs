@@ -248,14 +248,10 @@ pub struct LandmarkIndex {
 }
 
 impl LandmarkIndex {
-    /// Builds the index: picks `min(k, n)` landmarks by descending
-    /// emulator degree (ascending id on ties) and runs one Dijkstra each.
-    pub fn build(h: &Emulator, k: usize) -> Self {
-        Self::build_store(&EmStore::Heap(h.clone()), k)
-    }
-
-    /// [`build`](Self::build) over either store. Degrees and distances are
-    /// identical across stores, so so is the index.
+    /// Builds the index over either store: picks `min(k, n)` landmarks by
+    /// descending emulator degree (ascending id on ties) and runs one
+    /// Dijkstra each. Degrees and distances are identical across stores,
+    /// so so is the index.
     pub(crate) fn build_store(store: &EmStore, k: usize) -> Self {
         let n = store.num_vertices();
         let mut by_degree: Vec<VertexId> = (0..n).collect();

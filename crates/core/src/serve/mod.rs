@@ -14,8 +14,10 @@
 //!  ┌─────────────────────────────── Server ───────────────────────────┐
 //!  │ accept loop → one handler thread per connection                  │
 //!  │                                                                  │
-//!  │  Build/Query ──► warm? ──hit──► MappedSnapshot (zero-copy) ──►   │
-//!  │      │           (EvictingCache.open_mapped)            reply    │
+//!  │  Build/Query ──► key: graph memo (one stat; re-read on a new     │
+//!  │      │                identity) ─► fingerprint ─► CacheKey       │
+//!  │      ├─► warm? EvictingCache.lookup: one stat against the entry  │
+//!  │      │         identity a full mapped open verified ─hit─► reply │
 //!  │      └─miss─► bounded job queue ──► build worker pool            │
 //!  │               (cap → typed Busy)    └─► build_cached ─► publish  │
 //!  │                                          (atomic tempfile+rename)│
@@ -27,10 +29,15 @@
 //!
 //! Three design rules:
 //!
-//! * **Warm hits never queue.** A job whose snapshot is resident is
-//!   answered directly from the connection thread via a zero-copy
-//!   [`MappedSnapshot`](crate::cache::MappedSnapshot) open — admission
-//!   control only gates *construction* work.
+//! * **Warm hits never queue, and cost O(1) in the graph.** A job whose
+//!   snapshot is resident is answered directly from the connection
+//!   thread: two `stat`s (graph file and entry file) against identities
+//!   recorded when each file was last read in full (`EvictingCache`'s
+//!   warm lookup for the entry). A file whose identity is new, changed
+//!   or racy is read again — the graph re-read (parsed and fingerprinted
+//!   when its bytes changed), the entry fully opened (checksum plus
+//!   structure) — before it answers warm. Admission control only gates
+//!   *construction* work.
 //! * **Admission is typed.** The build queue is bounded
 //!   ([`ServeConfig::queue_cap`]); a full queue answers
 //!   [`ServeResponse::Busy`], never blocks the socket.
@@ -76,13 +83,14 @@ pub use daemon::{Client, QueryAnswers, ServeConfig, Server};
 #[cfg(unix)]
 mod daemon {
     use std::collections::{HashMap, VecDeque};
-    use std::io::BufReader;
+    use std::io::{BufReader, Read};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::Instant;
 
+    use usnae_graph::metrics::Fnv64;
     use usnae_graph::{io as gio, Graph};
 
     use super::proto::{
@@ -90,8 +98,8 @@ mod daemon {
         JobRecord, JobSpec, ServeError, ServeRequest, ServeResponse, ServiceStats, VERSION,
     };
     use super::Resolver;
-    use crate::api::{BuildConfig, MappedBackend};
-    use crate::cache::{CacheKey, EvictingCache, MappedSnapshot};
+    use crate::api::{BuildConfig, Construction, MappedBackend};
+    use crate::cache::{CacheKey, EntryMeta, EvictingCache, FileId};
     use crate::exec::CacheStatus;
     use crate::oracle::QueryEngine;
 
@@ -134,20 +142,41 @@ mod daemon {
 
     type JobResult = Result<(BuiltMeta, Vec<(u64, u64, u64)>), (ErrorCode, String)>;
 
-    /// A validated job ready to run: the resolved construction, the
-    /// (memoized) graph, the decoded config, and the cache key they
-    /// hash to.
-    type PreparedJob = (
-        Box<dyn crate::api::Construction>,
-        Arc<Graph>,
-        BuildConfig,
-        CacheKey,
-    );
+    /// A validated job's (memoized) graph and the cache key it hashes
+    /// to.
+    type PreparedJob = (Arc<Graph>, CacheKey);
 
-    /// What `ensure_built` hands the request handler: the built
-    /// metadata plus streamed phase triples, or the typed response
-    /// (`Busy` / `Error`) to send in place of an answer.
-    type BuildOutcome = Result<(BuiltMeta, Vec<(u64, u64, u64)>), ServeResponse>;
+    /// A parsed graph file.
+    #[derive(Clone)]
+    struct GraphMemo {
+        /// The identity that vouches for the file's bytes; `None` when it
+        /// cannot (racy, or changed while read), so the next request
+        /// reads the bytes again.
+        id: Option<FileId>,
+        /// FNV-64 digest of the bytes the graph was parsed from.
+        digest: u64,
+        graph: Arc<Graph>,
+        fingerprint: u64,
+    }
+
+    /// A reader that digests every byte it passes through.
+    struct Digesting<R> {
+        inner: R,
+        hash: Fnv64,
+    }
+
+    impl<R: Read> Read for Digesting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.hash.write_bytes(&buf[..n]);
+            Ok(n)
+        }
+    }
+
+    /// What `ensure_built` hands the request handler: the job's cache
+    /// key, the built metadata and streamed phase triples, or the typed
+    /// response (`Busy` / `Error`) to send in place of an answer.
+    type BuildOutcome = Result<(CacheKey, BuiltMeta, Vec<(u64, u64, u64)>), ServeResponse>;
 
     /// Completion slot a connection thread waits on after enqueueing.
     struct Ticket {
@@ -179,8 +208,11 @@ mod daemon {
         }
     }
 
+    /// A cold job on its way to a build worker, prepared once by the
+    /// connection thread that admitted it.
     struct QueuedJob {
         spec: JobSpec,
+        prepared: PreparedJob,
         ticket: Arc<Ticket>,
     }
 
@@ -191,7 +223,8 @@ mod daemon {
         cache: EvictingCache,
         queue: Mutex<VecDeque<QueuedJob>>,
         work_ready: Condvar,
-        graphs: Mutex<HashMap<String, Arc<Graph>>>,
+        /// Graph path → its memo.
+        graphs: Mutex<HashMap<String, GraphMemo>>,
         /// Daemon-wide query engines, one per `(snapshot, landmarks)`
         /// pair: every connection querying the same built snapshot locks
         /// the same engine instead of mapping a duplicate per
@@ -207,34 +240,75 @@ mod daemon {
     }
 
     impl Shared {
-        /// Loads (or reuses) the graph behind a job's graph reference.
-        fn graph(&self, path: &str) -> Result<Arc<Graph>, (ErrorCode, String)> {
-            if let Some(g) = self.graphs.lock().expect("graph memo lock").get(path) {
-                return Ok(Arc::clone(g));
-            }
-            let file = std::fs::File::open(path).map_err(|e| {
+        /// Loads (or reuses) the graph behind a job's graph reference,
+        /// with its fingerprint. One `stat` per request: the memo answers
+        /// while the file keeps the identity it was read under. A
+        /// rewritten, replaced or racy file is read again; bytes with the
+        /// memo's digest keep its graph (git's check of a racily clean
+        /// file compares content the same way), other bytes are parsed
+        /// and fingerprinted. A deleted file is `GraphUnavailable`.
+        fn graph(&self, path: &str) -> Result<(Arc<Graph>, u64), (ErrorCode, String)> {
+            let unavailable = |what: &str, e: &dyn std::fmt::Display| {
                 (
                     ErrorCode::GraphUnavailable,
-                    format!("cannot open graph '{path}': {e}"),
+                    format!("cannot {what} graph '{path}': {e}"),
                 )
-            })?;
-            let g = gio::read_edge_list(BufReader::new(file), 0).map_err(|e| {
-                (
-                    ErrorCode::GraphUnavailable,
-                    format!("cannot parse graph '{path}': {e}"),
-                )
-            })?;
-            let g = Arc::new(g);
-            self.graphs
+            };
+            let file = Path::new(path);
+            let id = FileId::of(file).ok();
+            let memo = self
+                .graphs
                 .lock()
                 .expect("graph memo lock")
-                .entry(path.to_string())
-                .or_insert_with(|| Arc::clone(&g));
-            Ok(g)
+                .get(path)
+                .cloned();
+            if let Some(m) = memo.as_ref().filter(|m| m.id.is_some() && m.id == id) {
+                return Ok((Arc::clone(&m.graph), m.fingerprint));
+            }
+            let open = || -> Result<_, (ErrorCode, String)> {
+                let f = std::fs::File::open(file).map_err(|e| unavailable("open", &e))?;
+                Ok(Digesting {
+                    inner: f,
+                    hash: Fnv64::new(),
+                })
+            };
+            let (read, id) = FileId::read_through(file, || {
+                if let Some(m) = memo {
+                    let mut bytes = open()?;
+                    std::io::copy(&mut bytes, &mut std::io::sink())
+                        .map_err(|e| unavailable("read", &e))?;
+                    if bytes.hash.finish() == m.digest {
+                        return Ok(m);
+                    }
+                }
+                let mut bytes = BufReader::new(open()?);
+                let g = gio::read_edge_list(&mut bytes, 0).map_err(|e| unavailable("parse", &e))?;
+                Ok(GraphMemo {
+                    id: None,
+                    digest: bytes.into_inner().hash.finish(),
+                    fingerprint: usnae_graph::metrics::fingerprint(&g),
+                    graph: Arc::new(g),
+                })
+            });
+            let mut memos = self.graphs.lock().expect("graph memo lock");
+            match read {
+                Ok(m) => {
+                    let found = (Arc::clone(&m.graph), m.fingerprint);
+                    memos.insert(path.to_string(), GraphMemo { id, ..m });
+                    Ok(found)
+                }
+                Err(e) => {
+                    memos.remove(path);
+                    Err(e)
+                }
+            }
         }
 
-        /// Validates a job and computes its cache key.
-        fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob, (ErrorCode, String)> {
+        /// Validates a job's config and resolves its construction.
+        fn resolve(
+            &self,
+            spec: &JobSpec,
+        ) -> Result<(Box<dyn Construction>, BuildConfig), (ErrorCode, String)> {
             let cfg = spec.to_config();
             cfg.validate()
                 .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?;
@@ -244,9 +318,15 @@ mod daemon {
                     format!("unknown algorithm '{}'", spec.algorithm),
                 )
             })?;
-            let g = self.graph(&spec.graph)?;
-            let key = CacheKey::new(g.as_ref(), construction.name(), &cfg);
-            Ok((construction, g, cfg, key))
+            Ok((construction, cfg))
+        }
+
+        /// Validates a job and computes its cache key.
+        fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob, (ErrorCode, String)> {
+            let (construction, cfg) = self.resolve(spec)?;
+            let (g, fingerprint) = self.graph(&spec.graph)?;
+            let key = CacheKey::from_fingerprint(fingerprint, construction.name(), &cfg);
+            Ok((g, key))
         }
 
         /// Records a completed job for the `stats` window.
@@ -259,26 +339,28 @@ mod daemon {
             recent.push_back(record);
         }
 
-        fn warm_meta(key: &CacheKey, mapped: &MappedSnapshot, t0: Instant) -> BuiltMeta {
+        fn warm_meta(key: &CacheKey, entry: EntryMeta, t0: Instant) -> BuiltMeta {
             BuiltMeta {
                 algorithm: key.algorithm.clone(),
-                stream_fingerprint: mapped.stream_fingerprint(),
-                num_vertices: mapped.num_vertices() as u64,
-                num_edges: mapped.num_edges() as u64,
+                stream_fingerprint: entry.stream_fingerprint,
+                num_vertices: entry.num_vertices as u64,
+                num_edges: entry.num_edges as u64,
                 cache: JobCache::Warm,
                 total_micros: t0.elapsed().as_micros() as u64,
             }
         }
 
-        /// The worker-side job body: re-checks warmth (another worker
-        /// may have published the snapshot while this job queued), then
-        /// builds read-through and publishes.
-        fn run_job(&self, spec: &JobSpec) -> JobResult {
+        /// The worker-side body of a job the connection thread prepared:
+        /// re-checks warmth (another worker may have published the
+        /// snapshot while this job queued), then builds read-through and
+        /// publishes.
+        fn run_job(&self, spec: &JobSpec, (g, key): PreparedJob) -> JobResult {
             let t0 = Instant::now();
-            let (construction, g, cfg, key) = self.prepare(spec)?;
-            if let Ok(Some(mapped)) = self.cache.open_mapped(&key) {
-                return Ok((Self::warm_meta(&key, &mapped, t0), Vec::new()));
+            if let Ok(Some(entry)) = self.cache.lookup(&key) {
+                return Ok((Self::warm_meta(&key, entry, t0), Vec::new()));
             }
+            // `Box<dyn Construction>` is not `Send`: resolve it here.
+            let (construction, cfg) = self.resolve(spec)?;
             let out = self
                 .cache
                 .build_cached(construction.as_ref(), g.as_ref(), &cfg)
@@ -301,7 +383,11 @@ mod daemon {
 
         /// Admission control: queue the job or refuse with `Busy`.
         #[allow(clippy::result_large_err)] // refusal path, written at most once per job
-        fn enqueue(&self, spec: JobSpec) -> Result<Arc<Ticket>, ServeResponse> {
+        fn enqueue(
+            &self,
+            spec: JobSpec,
+            prepared: PreparedJob,
+        ) -> Result<Arc<Ticket>, ServeResponse> {
             let mut queue = self.queue.lock().expect("job queue lock");
             if queue.len() >= self.cfg.queue_cap {
                 drop(queue);
@@ -313,6 +399,7 @@ mod daemon {
             let ticket = Ticket::new();
             queue.push_back(QueuedJob {
                 spec,
+                prepared,
                 ticket: Arc::clone(&ticket),
             });
             self.work_ready.notify_one();
@@ -322,7 +409,8 @@ mod daemon {
         /// The full build path shared by `Build` and `Query`: warm fast
         /// path on the connection thread, else queue + wait. `accepted`
         /// is called with the queue depth right after admission (the
-        /// `Build` handler streams it; `Query` ignores it).
+        /// `Build` handler streams it; `Query` ignores it). The job is
+        /// prepared once; `Query` answers from the returned key's engine.
         fn ensure_built(
             &self,
             spec: &JobSpec,
@@ -335,9 +423,9 @@ mod daemon {
                     return Ok(Err(ServeResponse::Error { code, message }));
                 }
             };
-            let (_, _, _, key) = prepared;
-            if let Ok(Some(mapped)) = self.cache.open_mapped(&key) {
-                let meta = Self::warm_meta(&key, &mapped, t0);
+            let key = prepared.1.clone();
+            if let Ok(Some(entry)) = self.cache.lookup(&key) {
+                let meta = Self::warm_meta(&key, entry, t0);
                 self.record(JobRecord {
                     algorithm: meta.algorithm.clone(),
                     stream_fingerprint: meta.stream_fingerprint,
@@ -345,9 +433,9 @@ mod daemon {
                     total_micros: meta.total_micros,
                     phases: Vec::new(),
                 });
-                return Ok(Ok((meta, Vec::new())));
+                return Ok(Ok((key, meta, Vec::new())));
             }
-            let ticket = match self.enqueue(spec.clone()) {
+            let ticket = match self.enqueue(spec.clone(), prepared) {
                 Ok(t) => t,
                 Err(busy) => return Ok(Err(busy)),
             };
@@ -361,7 +449,7 @@ mod daemon {
                         total_micros: meta.total_micros,
                         phases: phases.clone(),
                     });
-                    Ok(Ok((meta, phases)))
+                    Ok(Ok((key, meta, phases)))
                 }
                 Err((code, message)) => Ok(Err(ServeResponse::Error { code, message })),
             }
@@ -458,7 +546,7 @@ mod daemon {
                 }
             };
             let Some(job) = job else { return };
-            job.ticket.fill(shared.run_job(&job.spec));
+            job.ticket.fill(shared.run_job(&job.spec, job.prepared));
         }
     }
 
@@ -499,7 +587,7 @@ mod daemon {
                         write_response(&mut writer, &ServeResponse::Accepted { queue_depth: depth })
                     })?;
                     match outcome {
-                        Ok((meta, phases)) => {
+                        Ok((_, meta, phases)) => {
                             if meta.cache == JobCache::Cold {
                                 for &(phase, micros, explorations) in &phases {
                                     write_response(
@@ -523,7 +611,7 @@ mod daemon {
                     landmarks,
                 } => {
                     let outcome = shared.ensure_built(&job, |_| Ok(()))?;
-                    let (meta, _) = match outcome {
+                    let (key, meta, _) = match outcome {
                         Ok(done) => done,
                         Err(resp) => {
                             write_response(&mut writer, &resp)?;
@@ -546,14 +634,7 @@ mod daemon {
                         )?;
                         continue;
                     }
-                    let entry_key = match shared.prepare(&job) {
-                        Ok((_, _, _, key)) => key,
-                        Err((code, message)) => {
-                            write_response(&mut writer, &ServeResponse::Error { code, message })?;
-                            continue;
-                        }
-                    };
-                    let engine = match shared.engine(&entry_key, landmarks) {
+                    let engine = match shared.engine(&key, landmarks) {
                         Ok(e) => e,
                         Err((code, message)) => {
                             write_response(&mut writer, &ServeResponse::Error { code, message })?;
@@ -668,7 +749,8 @@ mod daemon {
         /// # Errors
         ///
         /// [`ServeError::Io`] from the accept loop itself; per-connection
-        /// errors are contained to their connection thread.
+        /// errors are contained to their connection thread, which writes
+        /// one stderr line naming the connection's sequence number.
         pub fn run(self) -> Result<(), ServeError> {
             let workers: Vec<_> = (0..self.shared.cfg.workers.max(1))
                 .map(|i| {
@@ -679,7 +761,7 @@ mod daemon {
                         .expect("spawn serve worker")
                 })
                 .collect();
-            for stream in self.listener.incoming() {
+            for (conn, stream) in (1u64..).zip(self.listener.incoming()) {
                 if self.shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
@@ -688,9 +770,12 @@ mod daemon {
                 std::thread::Builder::new()
                     .name("usnae-serve-conn".into())
                     .spawn(move || {
-                        // Connection errors (a client that hung up
-                        // mid-frame) must not take the daemon down.
-                        let _ = handle_conn(&shared, stream);
+                        // A failed connection (a client that hung up
+                        // mid-frame, a malformed frame) is logged and
+                        // contained: it must not take the daemon down.
+                        if let Err(e) = handle_conn(&shared, stream) {
+                            eprintln!("usnae serve: connection {conn}: {e}");
+                        }
                     })
                     .expect("spawn serve connection");
             }

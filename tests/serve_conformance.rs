@@ -326,3 +326,156 @@ fn concurrent_clients_converge_on_one_snapshot() {
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A 48-vertex ring with a chord from every vertex `i` to `i + offset`,
+/// as edge-list text.
+fn ring_with_chords(offset: usize) -> String {
+    (0..48)
+        .map(|i| format!("{i} {}\n{i} {}\n", (i + 1) % 48, (i + offset) % 48))
+        .collect()
+}
+
+/// A graph file rewritten under a running daemon is read again: the next
+/// `Build` is cold with the new graph's fingerprint, and the next `Query`
+/// answers over the new graph. Covers both ways a file changes: a new
+/// file renamed over it (new inode), and a same-length rewrite in place
+/// right after a request (same inode and length; caught by the mtime, or
+/// by the racy-timestamp rule when the mtime did not move).
+#[test]
+fn rewritten_graph_files_are_read_again() {
+    let dir = scratch("stale");
+    let path = dir.join("g.txt");
+    let cfg = BuildConfig::default();
+    let job = JobSpec::new(path.display().to_string(), "centralized", &cfg);
+    let pairs: Vec<(u64, u64)> = vec![(0, 9), (0, 24), (3, 30), (5, 40), (1, 47)];
+    let (socket, daemon) = spawn_daemon(ServeConfig::new(dir.join("d.sock"), dir.join("cache")));
+    let mut client = Client::connect(&socket).expect("connect");
+
+    // The daemon must serve exactly what a local build of `text` gives.
+    let mut expect_fresh = |text: &str, what: &str| {
+        let g = usnae::graph::io::read_edge_list(text.as_bytes(), 0).expect("parse");
+        let local = registry::find("centralized")
+            .unwrap()
+            .build(&g, &cfg)
+            .unwrap();
+        let built = client.build(&job, |_, _, _| {}).expect(what);
+        assert_eq!(
+            built.cache,
+            JobCache::Cold,
+            "{what}: the new graph must build"
+        );
+        assert_eq!(
+            built.stream_fingerprint,
+            local.stream_fingerprint(),
+            "{what}"
+        );
+        let native: Vec<(usize, usize)> = pairs
+            .iter()
+            .map(|&(u, v)| (u as usize, v as usize))
+            .collect();
+        let engine = local.into_query_engine();
+        let want: Vec<Option<u64>> = engine.distances(&native).iter().map(|c| c.value).collect();
+        let got = client.query(&job, &pairs, 0).expect(what);
+        assert_eq!(got.cache, JobCache::Warm, "{what}");
+        assert_eq!(got.distances, want, "{what}: answers over a stale graph");
+    };
+
+    let first = ring_with_chords(7);
+    std::fs::write(&path, &first).expect("write graph");
+    expect_fresh(&first, "first graph");
+
+    // Rewrite 1: a new file renamed over the old one.
+    let second = ring_with_chords(5);
+    let tmp = dir.join("g.txt.tmp");
+    std::fs::write(&tmp, &second).expect("write graph");
+    std::fs::rename(&tmp, &path).expect("rename graph");
+    let renamed_at = std::fs::metadata(&path).unwrap().modified().unwrap();
+    expect_fresh(&second, "renamed graph");
+
+    // Rewrite 2, right after those requests: in place, same byte length
+    // (edge {0, 5} becomes {0, 9}). On a filesystem with whole-second
+    // mtimes a rewrite this soon would keep the mtime; model that by
+    // restoring it while still inside that second, so only the
+    // racy-timestamp rule can catch the change.
+    let third = second.replacen("0 1\n0 5\n", "0 1\n0 9\n", 1);
+    assert_eq!((third.len(), third != second), (second.len(), true));
+    let mut f = std::fs::File::options().write(true).open(&path).unwrap();
+    std::io::Write::write_all(&mut f, third.as_bytes()).expect("rewrite graph");
+    if std::time::SystemTime::now() < renamed_at + std::time::Duration::from_secs(1) {
+        f.set_modified(renamed_at).expect("restore mtime");
+    }
+    drop(f);
+    expect_fresh(&third, "graph rewritten in place");
+
+    // A deleted graph file is unavailable, not served from the memo.
+    std::fs::remove_file(&path).expect("delete graph");
+    match client.build(&job, |_, _, _| {}) {
+        Err(ServeError::Rejected { code, .. }) => {
+            assert_eq!(code, usnae::core::serve::ErrorCode::GraphUnavailable);
+        }
+        other => panic!("expected GraphUnavailable, got {other:?}"),
+    }
+
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache entry deleted behind the daemon's back is a miss even after
+/// the daemon recorded its identity: the next `Build` rebuilds it cold,
+/// with the same bytes.
+#[test]
+fn deleted_entry_rebuilds_cold() {
+    let dir = scratch("deleted");
+    let (graph_path, _) = fixture_on_disk(&dir);
+    let cache = dir.join("cache");
+    let (socket, daemon) = spawn_daemon(ServeConfig::new(dir.join("d.sock"), &cache));
+    let mut client = Client::connect(&socket).expect("connect");
+    let job = JobSpec::new(&graph_path, "centralized", &BuildConfig::default());
+
+    let cold = client.build(&job, |_, _, _| {}).expect("cold build");
+    assert_eq!(cold.cache, JobCache::Cold);
+    let entry = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "usnae"))
+        .expect("published entry");
+    // Past the racy window, so warm lookups answer from the recorded
+    // identity instead of re-opening the file.
+    std::fs::File::options()
+        .write(true)
+        .open(&entry)
+        .unwrap()
+        .set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(60))
+        .unwrap();
+    for _ in 0..2 {
+        let warm = client.build(&job, |_, _, _| {}).expect("warm build");
+        assert_eq!(warm.cache, JobCache::Warm);
+    }
+
+    std::fs::remove_file(&entry).expect("delete entry");
+    let rebuilt = client.build(&job, |_, _, _| {}).expect("rebuild");
+    assert_eq!(rebuilt.cache, JobCache::Cold, "a deleted entry is a miss");
+    assert_eq!(rebuilt.stream_fingerprint, cold.stream_fingerprint);
+
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that hangs up in the middle of a frame costs only its own
+/// connection: the daemon keeps serving.
+#[test]
+fn a_client_hanging_up_mid_frame_does_not_stop_the_daemon() {
+    let dir = scratch("hangup");
+    let (socket, daemon) = spawn_daemon(ServeConfig::new(dir.join("d.sock"), dir.join("cache")));
+    {
+        let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+        std::io::Write::write_all(&mut raw, &usnae::core::serve::MAGIC[..5]).expect("write");
+    }
+    let mut client = Client::connect(&socket).expect("the daemon still accepts");
+    client.stats().expect("and still answers");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
