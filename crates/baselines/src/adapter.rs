@@ -9,31 +9,15 @@
 
 use std::time::Instant;
 use usnae_core::api::{
-    require_inproc, BuildConfig, BuildError, BuildOutput, BuildStats, Construction, Supports,
+    require_inproc, BuildConfig, BuildError, BuildOutput, Construction, Supports,
 };
-use usnae_core::engine::{finalize_worker_build, Engine, EngineReport};
+use usnae_core::engine::Engine;
 use usnae_graph::Graph;
 
 use crate::em19::build_em19_exec;
 use crate::en17::build_en17_exec;
 use crate::ep01::build_ep01_exec;
 use crate::tz06::build_tz06;
-
-/// Execution stats for a baseline build timed as one block (only EM19
-/// records per-phase timings, which its adapter adds). A partitioned build
-/// contributes its per-shard layout records; a worker build its transport
-/// and measured message statistics.
-fn timed_stats(cfg: &BuildConfig, t0: Instant, report: EngineReport) -> BuildStats {
-    BuildStats {
-        threads: cfg.threads,
-        total: t0.elapsed(),
-        phases: Vec::new(),
-        shards: report.shards,
-        transport: report.transport,
-        messages: report.messages,
-        ..BuildStats::default()
-    }
-}
 
 /// Elkin–Peleg STOC'01: SAI without buffer sets, plus the ground partition.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,18 +56,16 @@ impl Construction for Ep01 {
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
         let emulator = build_ep01_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
+        let stats = engine.finish()?.into_stats(cfg, t0, Vec::new());
+        Ok(BuildOutput {
             emulator,
             certified: None,
             size_bound: self.size_bound(g.num_vertices(), cfg),
             trace: None,
             congest: None,
-            stats: timed_stats(cfg, t0, report),
+            stats,
             algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held, cfg)?;
-        Ok(out)
+        })
     }
 }
 
@@ -135,7 +117,7 @@ impl Construction for Tz06 {
             size_bound: None,
             trace: None,
             congest: None,
-            stats: timed_stats(cfg, t0, report),
+            stats: report.into_stats(cfg, t0, Vec::new()),
             algorithm: self.name(),
         })
     }
@@ -176,18 +158,16 @@ impl Construction for En17 {
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
         let emulator = build_en17_exec(g, &params, cfg.seed, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
+        let stats = engine.finish()?.into_stats(cfg, t0, Vec::new());
+        Ok(BuildOutput {
             emulator,
             certified: None,
             size_bound: None,
             trace: None,
             congest: None,
-            stats: timed_stats(cfg, t0, report),
+            stats,
             algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held, cfg)?;
-        Ok(out)
+        })
     }
 }
 
@@ -227,19 +207,16 @@ impl Construction for Em19 {
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
         let (emulator, phases) = build_em19_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
+        let stats = engine.finish()?.into_stats(cfg, t0, phases);
+        Ok(BuildOutput {
             emulator,
             certified: None,
             size_bound: None,
             trace: None,
             congest: None,
-            stats: timed_stats(cfg, t0, report),
+            stats,
             algorithm: self.name(),
-        };
-        out.stats.phases = phases;
-        finalize_worker_build(&mut out, held, cfg)?;
-        Ok(out)
+        })
     }
 }
 

@@ -82,7 +82,7 @@
 //! `tests/partition_conformance.rs` and a CI `shard-matrix` leg, with
 //! golden reference streams in `tests/data/` catching shard-merge
 //! regressions without rebuilding the oracle. A partitioned build reports
-//! one [`ShardTiming`](crate::exec::ShardTiming) per shard in
+//! one [`ShardTiming`] per shard in
 //! [`BuildStats::shards`] (owned vertices, local/cut edges, layout build
 //! time); the CONGEST simulations and `tz06` accept the knobs but keep
 //! the shared array — they run no sharded exploration phase. `shards`
@@ -93,10 +93,10 @@
 //! # Distributed execution
 //!
 //! [`EmulatorBuilder::transport`] (CLI: `usnae run --transport
-//! {inproc,channel,process}`) moves the sharded exploration phases from
-//! the in-process fan-out to a **worker pool**: one worker per CSR shard,
-//! each owning its shard's adjacency and answering typed frontier
-//! messages through a [`TransportKind`] —
+//! {inproc,channel,process,socket}`) moves the sharded exploration
+//! phases from the in-process fan-out to a **worker pool**: one worker
+//! per CSR shard, each owning its shard's adjacency and answering typed
+//! frontier messages through a [`TransportKind`] —
 //!
 //! * [`TransportKind::Inproc`] (default) — no pool; the explorations read
 //!   the layout directly, as in a plain partitioned build.
@@ -105,6 +105,9 @@
 //! * [`TransportKind::Process`] — one child process per shard speaking a
 //!   length-prefixed, checksummed binary protocol over stdin/stdout (the
 //!   `usnae-worker` binary; see `usnae_workers`).
+//! * [`TransportKind::Socket`] — the same frames over TCP: loopback
+//!   `usnae-worker --listen` children by default, or pre-started remote
+//!   workers named by `USNAE_WORKERS_ADDR`.
 //!
 //! A worker transport requires a partitioned layout (`shards >= 1`;
 //! validated as [`ParamError::TransportNeedsShards`](crate::error::ParamError)).
@@ -117,10 +120,9 @@
 //! ran and `stats.messages` carries the measured [`MessageStats`]
 //! (rounds, messages, bytes, per-shard-pair breakdown). Worker failures
 //! never corrupt an output — the phases fall back in-process and the
-//! build fails loudly with [`BuildError::Worker`] — and every worker
-//! build re-merges the partitioned layout before returning. Like
-//! `threads` and `shards`, the transport is **not** part of the cache
-//! key: one cached entry serves every execution strategy.
+//! build fails loudly with [`BuildError::Worker`]. Like `threads` and
+//! `shards`, the transport is **not** part of the cache key: one cached
+//! entry serves every execution strategy.
 //!
 //! # Query serving
 //!
@@ -161,7 +163,7 @@
 //!
 //! Neither end of that pipeline needs its big array on the heap. Every
 //! graph view in `usnae_graph` is generic over an `AdjStorage` backend:
-//! [`Graph`](usnae_graph::Graph) is the heap CSR,
+//! [`Graph`] is the heap CSR,
 //! [`MappedGraph`](usnae_graph::MappedGraph) the file-backed one
 //! (`Graph::write_csr_file` → `MappedGraph::open`, or
 //! `usnae_graph::io::stream_edge_list_to_csr_file`, which two-passes a
@@ -271,10 +273,7 @@ pub use crate::centralized::ProcessingOrder;
 pub use crate::emulator::Emulator;
 pub use crate::exec::{MessageStats, PairStats, TransportKind, WORKERS_ADDR_ENV};
 pub use crate::oracle::{Certified, EmStore, LandmarkIndex, QueryEngine, QueryStats};
-pub use backend::{
-    HeapBackend, MappedBackend, OutputBackend, PartitionedBackend, RemotePartitionedBackend,
-    SnapshotBackend, REMOTE_FETCH_CHUNK,
-};
+pub use backend::{HeapBackend, MappedBackend, OutputBackend, SnapshotBackend};
 pub use config::{Algorithm, BuildConfig};
 pub use construction::{require_inproc, BuildError, Construction, Supports};
 pub use output::{

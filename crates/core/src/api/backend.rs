@@ -2,26 +2,20 @@
 //!
 //! `BuildOutput.emulator` keeps its in-memory type — every existing
 //! consumer stays untouched — but the [`OutputBackend`] trait lets an
-//! output live somewhere other than this process's heap: today as a
-//! [`SnapshotBackend`] over the on-disk codec (see [`crate::cache`]), as
-//! a [`PartitionedBackend`] holding the insertion stream as per-shard
-//! partitions (the in-memory prototype of a remote-shard backend), and by
-//! design as future mmap'd or fully remote backends (the ROADMAP's
-//! million-vertex direction), all behind `materialize()`.
+//! output live somewhere other than this process's heap: the
+//! [`HeapBackend`] wraps a live build, the [`SnapshotBackend`] decodes an
+//! on-disk snapshot (see [`crate::cache`]), and the [`MappedBackend`]
+//! serves a codec-v4 snapshot zero-copy from its mapping, all behind
+//! `materialize()`.
 //!
 //! The contract mirrors the cache's: a backend's `stream_fingerprint`
 //! identifies the exact insertion stream, so two backends holding "the
 //! same" output can be compared without materializing either.
 
 use crate::cache::{MappedSnapshot, Snapshot, SnapshotError};
-use crate::emulator::{EdgeKind, EdgeProvenance, Emulator};
-use crate::engine::HeldOutputs;
+use crate::emulator::Emulator;
 use crate::oracle::EmStore;
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use usnae_graph::partition::PartitionPolicy;
-use usnae_graph::WeightedEdge;
-use usnae_workers::{MessageStats, OutputRecord, WorkerError, WorkerPool};
 
 /// A place a built emulator/spanner can live.
 ///
@@ -308,325 +302,6 @@ impl OutputBackend for MappedBackend {
     }
 }
 
-/// A backend that holds a built output's insertion stream partitioned
-/// into per-shard lists by the owning shard of each edge's lower
-/// endpoint — the same contiguous-range ownership [`ShardedCsr`]
-/// (`usnae_graph::partition`) uses for the input graph. This is the
-/// in-memory prototype of a remote-shard backend: each shard's records
-/// are independently addressable (and could live in another process),
-/// while `materialize()` merges them back in original insertion order,
-/// reproducing the exact stream — same fingerprint as the heap backend.
-#[derive(Debug, Clone)]
-pub struct PartitionedBackend {
-    algorithm: String,
-    num_vertices: usize,
-    num_edges: usize,
-    fingerprint: u64,
-    certified: Option<(f64, f64)>,
-    policy: PartitionPolicy,
-    /// Per shard: `(original stream index, record)`, index-ascending.
-    shards: Vec<Vec<(usize, (WeightedEdge, EdgeProvenance))>>,
-}
-
-impl PartitionedBackend {
-    /// Partitions `out`'s insertion stream into `shards` per-shard lists.
-    /// Ownership boundaries are computed over the *output* structure
-    /// (degree-balanced policies weight by emulator degree), so a hub-heavy
-    /// emulator does not overload shard 0.
-    pub fn from_output(
-        out: &crate::api::BuildOutput,
-        policy: PartitionPolicy,
-        shards: usize,
-    ) -> Self {
-        let n = out.emulator.num_vertices();
-        let bounds = usnae_graph::partition::weighted_boundaries(
-            n,
-            |v| out.emulator.graph().degree(v),
-            policy,
-            shards,
-        );
-        let owner = |v: usize| -> usize { bounds.partition_point(|&b| b <= v).saturating_sub(1) };
-        let mut parts: Vec<Vec<(usize, (WeightedEdge, EdgeProvenance))>> =
-            vec![Vec::new(); bounds.len() - 1];
-        for (idx, rec) in out.emulator.provenance().iter().enumerate() {
-            parts[owner(rec.0.u)].push((idx, *rec));
-        }
-        PartitionedBackend {
-            algorithm: out.algorithm.to_string(),
-            num_vertices: n,
-            num_edges: out.num_edges(),
-            fingerprint: out.stream_fingerprint(),
-            certified: out.certified,
-            policy,
-            shards: parts,
-        }
-    }
-
-    /// The policy the stream was partitioned under.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
-    }
-
-    /// Number of stream shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's records: `(original stream index, record)`, ascending.
-    pub fn shard_records(&self, shard: usize) -> &[(usize, (WeightedEdge, EdgeProvenance))] {
-        &self.shards[shard]
-    }
-}
-
-impl OutputBackend for PartitionedBackend {
-    fn kind(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn algorithm(&self) -> &str {
-        &self.algorithm
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn stream_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn certified(&self) -> Option<(f64, f64)> {
-        self.certified
-    }
-
-    fn materialize(&self) -> Result<Emulator, SnapshotError> {
-        // Merge the per-shard lists back into insertion order. Each list
-        // is index-ascending, so this is a k-way merge; the recomputed
-        // fingerprint proves the merge reproduced the original stream.
-        let mut records: Vec<(usize, (WeightedEdge, EdgeProvenance))> =
-            self.shards.iter().flatten().cloned().collect();
-        records.sort_unstable_by_key(|&(idx, _)| idx);
-        let merged: Vec<(WeightedEdge, EdgeProvenance)> =
-            records.into_iter().map(|(_, r)| r).collect();
-        let recomputed = crate::emulator::stream_fingerprint(&merged);
-        if recomputed != self.fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                stored: self.fingerprint,
-                recomputed,
-            });
-        }
-        Ok(Emulator::from_provenance(self.num_vertices, merged))
-    }
-}
-
-/// Records fetched per worker per exchange when a
-/// [`RemotePartitionedBackend`] streams its partitions back.
-pub const REMOTE_FETCH_CHUNK: usize = 4096;
-
-/// The remote sibling of [`PartitionedBackend`]: the output partitions
-/// live in the *workers* (shipped by `Engine::finish_retaining` at round
-/// end), and this backend holds only metadata plus the live
-/// [`WorkerPool`]. `materialize()` streams every partition back lazily in
-/// [`REMOTE_FETCH_CHUNK`]-sized slices, merges by original stream index,
-/// re-verifies the merge by stream fingerprint — exactly the
-/// [`PartitionedBackend`] contract, but over a real transport — and shuts
-/// the pool down, keeping the merged records so repeat materializes need
-/// no workers.
-pub struct RemotePartitionedBackend {
-    algorithm: String,
-    num_vertices: usize,
-    num_edges: usize,
-    fingerprint: u64,
-    certified: Option<(f64, f64)>,
-    count: usize,
-    pool: RefCell<Option<WorkerPool>>,
-    merged: RefCell<Option<Vec<(WeightedEdge, EdgeProvenance)>>>,
-    final_stats: RefCell<Option<MessageStats>>,
-    worker_error: RefCell<Option<WorkerError>>,
-}
-
-impl std::fmt::Debug for RemotePartitionedBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemotePartitionedBackend")
-            .field("algorithm", &self.algorithm)
-            .field("num_vertices", &self.num_vertices)
-            .field("num_edges", &self.num_edges)
-            .field("fingerprint", &self.fingerprint)
-            .field("count", &self.count)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RemotePartitionedBackend {
-    /// Adopts the worker-held partitions of `out`'s build: metadata from
-    /// the finished output, records from the pool inside `held`.
-    pub fn from_held(out: &crate::api::BuildOutput, held: HeldOutputs) -> Self {
-        RemotePartitionedBackend {
-            algorithm: out.algorithm.to_string(),
-            num_vertices: out.emulator.num_vertices(),
-            num_edges: out.num_edges(),
-            fingerprint: out.stream_fingerprint(),
-            certified: out.certified,
-            count: held.count,
-            pool: RefCell::new(Some(held.pool)),
-            merged: RefCell::new(None),
-            final_stats: RefCell::new(None),
-            worker_error: RefCell::new(None),
-        }
-    }
-
-    /// Total records across all worker-held partitions.
-    pub fn num_records(&self) -> usize {
-        self.count
-    }
-
-    /// The pool's final [`MessageStats`] — retain + fetch traffic and all
-    /// build rounds — available once `materialize()` has drained the
-    /// workers and shut the pool down.
-    pub fn final_stats(&self) -> Option<MessageStats> {
-        self.final_stats.borrow().clone()
-    }
-
-    /// Takes the typed [`WorkerError`] behind the last failed
-    /// `materialize()`, when the failure was the transport's (a dead
-    /// worker mid-fetch) rather than a bad merge.
-    pub fn take_worker_error(&self) -> Option<WorkerError> {
-        self.worker_error.borrow_mut().take()
-    }
-
-    /// Streams the partitions back, merges them, and shuts the pool down.
-    fn fetch_and_merge(&self) -> Result<(), SnapshotError> {
-        let Some(mut pool) = self.pool.borrow_mut().take() else {
-            return Err(SnapshotError::Corrupt {
-                reason: "remote partitions already consumed by a failed fetch".into(),
-            });
-        };
-        let parts = match pool.fetch_retained(REMOTE_FETCH_CHUNK) {
-            Ok(parts) => parts,
-            Err(e) => {
-                // The pool drops here: kill-on-drop teardown, no hang.
-                let reason = format!("fetching worker-held partitions failed: {e}");
-                *self.worker_error.borrow_mut() = Some(e);
-                return Err(SnapshotError::Corrupt { reason });
-            }
-        };
-        let stats = match pool.shutdown() {
-            Ok(stats) => stats,
-            Err(e) => {
-                let reason = format!("worker shutdown after partition fetch failed: {e}");
-                *self.worker_error.borrow_mut() = Some(e);
-                return Err(SnapshotError::Corrupt { reason });
-            }
-        };
-        let mut records: Vec<OutputRecord> = parts.into_iter().flatten().collect();
-        records.sort_unstable_by_key(|r| r.index);
-        if records.len() != self.count {
-            return Err(SnapshotError::Corrupt {
-                reason: format!(
-                    "workers held {} records, the build shipped {}",
-                    records.len(),
-                    self.count
-                ),
-            });
-        }
-        let mut merged = Vec::with_capacity(records.len());
-        for (i, rec) in records.into_iter().enumerate() {
-            if rec.index != i as u64 {
-                return Err(SnapshotError::Corrupt {
-                    reason: format!("merged stream skips from index {i} to {}", rec.index),
-                });
-            }
-            merged.push(decode_record(&rec, self.num_vertices)?);
-        }
-        *self.merged.borrow_mut() = Some(merged);
-        *self.final_stats.borrow_mut() = Some(stats);
-        Ok(())
-    }
-}
-
-/// One wire record back to `(edge, provenance)`, with the same structural
-/// checks the snapshot codec applies (endpoint range, known edge-kind).
-fn decode_record(
-    rec: &OutputRecord,
-    num_vertices: usize,
-) -> Result<(WeightedEdge, EdgeProvenance), SnapshotError> {
-    let vertex = |x: u64| -> Result<usize, SnapshotError> {
-        usize::try_from(x)
-            .ok()
-            .filter(|&v| v < num_vertices)
-            .ok_or_else(|| SnapshotError::Corrupt {
-                reason: format!("record endpoint {x} out of range (n = {num_vertices})"),
-            })
-    };
-    let kind = EdgeKind::from_code(rec.kind).ok_or_else(|| SnapshotError::Corrupt {
-        reason: format!("unknown edge-kind code {}", rec.kind),
-    })?;
-    Ok((
-        WeightedEdge {
-            u: vertex(rec.u)?,
-            v: vertex(rec.v)?,
-            weight: rec.weight,
-        },
-        EdgeProvenance {
-            phase: usize::try_from(rec.phase).map_err(|_| SnapshotError::Corrupt {
-                reason: format!("record phase {} overflows", rec.phase),
-            })?,
-            kind,
-            charged_to: vertex(rec.charged_to)?,
-        },
-    ))
-}
-
-impl OutputBackend for RemotePartitionedBackend {
-    fn kind(&self) -> &'static str {
-        "remote-partitioned"
-    }
-
-    fn algorithm(&self) -> &str {
-        &self.algorithm
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn stream_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn certified(&self) -> Option<(f64, f64)> {
-        self.certified
-    }
-
-    fn materialize(&self) -> Result<Emulator, SnapshotError> {
-        if self.merged.borrow().is_none() {
-            self.fetch_and_merge()?;
-        }
-        let records = self
-            .merged
-            .borrow()
-            .as_ref()
-            .expect("fetch_and_merge fills the cache on success")
-            .clone();
-        let recomputed = crate::emulator::stream_fingerprint(&records);
-        if recomputed != self.fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                stored: self.fingerprint,
-                recomputed,
-            });
-        }
-        Ok(Emulator::from_provenance(self.num_vertices, records))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,45 +338,6 @@ mod tests {
         assert_eq!(heap.kind(), "heap");
         assert_eq!(disk.kind(), "snapshot");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn partitioned_backend_merges_back_to_the_exact_stream() {
-        let g = generators::gnp_connected(80, 0.08, 7).unwrap();
-        let cfg = BuildConfig::default();
-        for algo in [Algorithm::Centralized, Algorithm::Spanner] {
-            let c = algo.construction();
-            let out = c.build(&g, &cfg).unwrap();
-            let heap = HeapBackend::new(out.emulator.clone(), c.name());
-            for policy in PartitionPolicy::all() {
-                for shards in [1usize, 2, 4, 7] {
-                    let part = PartitionedBackend::from_output(&out, policy, shards);
-                    assert_eq!(part.kind(), "partitioned");
-                    assert_eq!(part.num_shards(), shards.min(g.num_vertices()));
-                    assert_eq!(part.policy(), policy);
-                    assert_eq!(part.algorithm(), c.name());
-                    assert_eq!(part.num_vertices(), heap.num_vertices());
-                    assert_eq!(part.num_edges(), heap.num_edges());
-                    assert_eq!(part.stream_fingerprint(), heap.stream_fingerprint());
-                    assert_eq!(part.certified(), out.certified);
-                    // Every record lands in exactly one shard, ascending.
-                    let total: usize = (0..part.num_shards())
-                        .map(|s| part.shard_records(s).len())
-                        .sum();
-                    assert_eq!(total, out.emulator.provenance().len());
-                    for s in 0..part.num_shards() {
-                        assert!(part.shard_records(s).windows(2).all(|w| w[0].0 < w[1].0));
-                    }
-                    // The merge reproduces the original insertion stream.
-                    let live = part.materialize().unwrap();
-                    assert_eq!(
-                        live.provenance(),
-                        out.emulator.provenance(),
-                        "{policy} shards={shards}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -81,7 +81,8 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// One validated parameter set shared by every [`Construction`]
+/// One validated parameter set shared by every
+/// [`Construction`](crate::api::Construction)
 /// (paper constructions and baselines alike).
 ///
 /// Replaces the per-construction triple
@@ -126,8 +127,8 @@ pub struct BuildConfig {
     pub partition: PartitionPolicy,
     /// Execution substrate for the sharded exploration phases:
     /// [`TransportKind::Inproc`] (default) runs the in-process fan-out;
-    /// `Channel`/`Process` move each shard's work to its owning worker
-    /// (requires `shards >= 1`) and record measured
+    /// `Channel`/`Process`/`Socket` move each shard's work to its owning
+    /// worker (requires `shards >= 1`) and record measured
     /// [`MessageStats`](crate::api::MessageStats). Output is
     /// byte-identical for every transport.
     pub transport: TransportKind,

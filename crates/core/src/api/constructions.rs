@@ -7,7 +7,7 @@ use crate::api::{
 use crate::centralized::build_centralized_exec;
 use crate::distributed::driver::build_distributed;
 use crate::distributed::spanner_driver::build_spanner_congest;
-use crate::engine::{finalize_worker_build, Engine};
+use crate::engine::Engine;
 use crate::exec::BuildStats;
 use crate::fast_centralized::build_fast_exec;
 use crate::spanner::build_spanner_exec;
@@ -29,26 +29,16 @@ impl Centralized {
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
         let (emulator, trace, phases) = build_centralized_exec(g, &params, cfg.order, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
+        let stats = engine.finish()?.into_stats(cfg, t0, phases);
+        Ok(BuildOutput {
             emulator,
             certified: Some(params.certified_stretch()),
             size_bound: Some(params.size_bound(g.num_vertices())),
             trace: cfg.traced.then_some(Trace::Centralized(trace)),
             congest: None,
-            stats: BuildStats {
-                threads: cfg.threads,
-                total: t0.elapsed(),
-                phases,
-                shards: report.shards,
-                transport: report.transport,
-                messages: report.messages,
-                ..BuildStats::default()
-            },
+            stats,
             algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held, cfg)?;
-        Ok(out)
+        })
     }
 }
 
@@ -103,26 +93,16 @@ impl FastCentralized {
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
         let (emulator, trace, phases) = build_fast_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
+        let stats = engine.finish()?.into_stats(cfg, t0, phases);
+        Ok(BuildOutput {
             emulator,
             certified: Some(params.certified_stretch()),
             size_bound: Some(params.size_bound(g.num_vertices())),
             trace: cfg.traced.then_some(Trace::Fast(trace)),
             congest: None,
-            stats: BuildStats {
-                threads: cfg.threads,
-                total: t0.elapsed(),
-                phases,
-                shards: report.shards,
-                transport: report.transport,
-                messages: report.messages,
-                ..BuildStats::default()
-            },
+            stats,
             algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held, cfg)?;
-        Ok(out)
+        })
     }
 }
 
@@ -240,27 +220,17 @@ impl Spanner {
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
         let (emulator, trace, phases) = build_spanner_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
+        let stats = engine.finish()?.into_stats(cfg, t0, phases);
         let n = g.num_vertices();
-        let mut out = BuildOutput {
+        Ok(BuildOutput {
             emulator,
             certified: Some(params.certified_stretch()),
             size_bound: Some(SPANNER_SIZE_CONSTANT * params.size_bound(n) + n as f64),
             trace: cfg.traced.then_some(Trace::Spanner(trace)),
             congest: None,
-            stats: BuildStats {
-                threads: cfg.threads,
-                total: t0.elapsed(),
-                phases,
-                shards: report.shards,
-                transport: report.transport,
-                messages: report.messages,
-                ..BuildStats::default()
-            },
+            stats,
             algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held, cfg)?;
-        Ok(out)
+        })
     }
 }
 

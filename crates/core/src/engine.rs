@@ -32,16 +32,15 @@
 //! instead of silently reporting a worker build that did not happen.
 
 use std::cell::{OnceCell, RefCell};
+use std::time::Instant;
 
 use crate::api::{BuildConfig, BuildError};
-use crate::emulator::EdgeProvenance;
+use crate::exec::{BuildStats, PhaseTiming};
 use crate::sai;
 use usnae_graph::par::{Exploration, ScratchPool};
 use usnae_graph::partition::{GraphView, ShardView, ShardedCsr};
-use usnae_graph::{AdjStorage, Dist, GraphCore, HeapAdj, VertexId, WeightedEdge};
-use usnae_workers::{
-    MessageStats, OutputRecord, ShardInit, TransportKind, WorkerError, WorkerPool,
-};
+use usnae_graph::{AdjStorage, Dist, GraphCore, HeapAdj, VertexId};
+use usnae_workers::{MessageStats, ShardInit, TransportKind, WorkerError, WorkerPool};
 
 /// What [`Engine::finish`] hands back to the build driver: the transport
 /// that actually ran, its measured message statistics (worker transports
@@ -54,6 +53,28 @@ pub struct EngineReport {
     pub messages: Option<MessageStats>,
     /// Per-shard layout records (empty for shared-array builds).
     pub shards: Vec<usnae_graph::partition::ShardTiming>,
+}
+
+impl EngineReport {
+    /// The build's [`BuildStats`]: `cfg`'s thread count, the wall clock
+    /// since `t0`, the construction's `phases` (empty when it does not
+    /// time them), and this report's shards, transport and messages.
+    pub fn into_stats(
+        self,
+        cfg: &BuildConfig,
+        t0: Instant,
+        phases: Vec<PhaseTiming>,
+    ) -> BuildStats {
+        BuildStats {
+            threads: cfg.threads,
+            total: t0.elapsed(),
+            phases,
+            shards: self.shards,
+            transport: self.transport,
+            messages: self.messages,
+            ..BuildStats::default()
+        }
+    }
 }
 
 /// Bytes of search results (settled entries over all sources of a chunk)
@@ -284,86 +305,6 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
             shards,
         })
     }
-
-    /// Like [`finish`](Self::finish), but instead of shutting the pool
-    /// down it ships the build's finished insertion stream to the workers
-    /// ([`WorkerPool::retain_outputs`]) and keeps the pool alive inside
-    /// the returned [`HeldOutputs`] — the handle a
-    /// [`RemotePartitionedBackend`](crate::api::RemotePartitionedBackend)
-    /// consumes to merge the worker-held partitions lazily. In-process
-    /// builds (no pool) return `None` and behave exactly like `finish`.
-    ///
-    /// The report's `messages` are a snapshot *including* the retain
-    /// traffic; the backend folds in the fetch traffic and final shutdown
-    /// when it materializes (see [`finalize_worker_build`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`finish`](Self::finish): a stashed mid-build
-    /// [`WorkerError`] or a retain failure surfaces as
-    /// [`BuildError::Worker`].
-    pub fn finish_retaining(
-        self,
-        records: &[(WeightedEdge, EdgeProvenance)],
-    ) -> Result<(EngineReport, Option<HeldOutputs>), BuildError> {
-        let shards = self.view.shard_timings();
-        if let Some(e) = self.error.into_inner() {
-            return Err(BuildError::Worker(e));
-        }
-        let Some(mut pool) = self.pool.into_inner() else {
-            return Ok((
-                EngineReport {
-                    transport: self.kind,
-                    messages: None,
-                    shards,
-                },
-                None,
-            ));
-        };
-        let wire: Vec<OutputRecord> = records
-            .iter()
-            .enumerate()
-            .map(|(i, (e, p))| OutputRecord {
-                index: i as u64,
-                u: e.u as u64,
-                v: e.v as u64,
-                weight: e.weight,
-                phase: p.phase as u64,
-                kind: p.kind.code(),
-                charged_to: p.charged_to as u64,
-            })
-            .collect();
-        pool.retain_outputs(&wire).map_err(BuildError::Worker)?;
-        let messages = Some(pool.message_stats());
-        Ok((
-            EngineReport {
-                transport: self.kind,
-                messages,
-                shards,
-            },
-            Some(HeldOutputs {
-                pool,
-                count: wire.len(),
-            }),
-        ))
-    }
-}
-
-/// A live [`WorkerPool`] whose workers hold a finished build's output
-/// partitions (shipped by [`Engine::finish_retaining`]), plus the total
-/// record count across all partitions. Opaque outside the crate; consumed
-/// by [`RemotePartitionedBackend`](crate::api::RemotePartitionedBackend).
-pub struct HeldOutputs {
-    pub(crate) pool: WorkerPool,
-    pub(crate) count: usize,
-}
-
-impl std::fmt::Debug for HeldOutputs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeldOutputs")
-            .field("count", &self.count)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Per-shard init payloads from the partitioned layout: each worker gets
@@ -395,76 +336,6 @@ fn shard_inits(sharded: &ShardedCsr, num_vertices: usize) -> Vec<ShardInit> {
             }
         })
         .collect()
-}
-
-/// Cross-checks a worker build's output partitions: routes the finished
-/// stream through [`PartitionedBackend`](crate::api::PartitionedBackend)
-/// under the build's own layout and materializes the merge. Only runs for
-/// worker builds (`stats.messages` present) — the shared-array path is
-/// already covered by the partition-conformance suite.
-///
-/// # Errors
-///
-/// [`BuildError::Worker`] with a [`WorkerError::Corrupt`] payload when the
-/// merged partitions do not reproduce the built stream.
-pub fn verify_partitioned_merge(
-    out: &crate::api::BuildOutput,
-    cfg: &BuildConfig,
-) -> Result<(), BuildError> {
-    use crate::api::OutputBackend;
-    if out.stats.messages.is_none() {
-        return Ok(());
-    }
-    crate::api::PartitionedBackend::from_output(out, cfg.partition, cfg.shards.max(1))
-        .materialize()
-        .map(|_| ())
-        .map_err(|e| {
-            BuildError::Worker(WorkerError::Corrupt {
-                reason: format!("worker build failed the partitioned merge check: {e}"),
-            })
-        })
-}
-
-/// Finishes a worker build whose output stayed sharded across the pool
-/// ([`Engine::finish_retaining`]): routes the worker-held partitions
-/// through a [`RemotePartitionedBackend`](crate::api::RemotePartitionedBackend)
-/// and materializes the lazy merge — streaming every record back over the
-/// live transport and proving the merge byte-identical to the built
-/// stream by fingerprint — then folds the final [`MessageStats`]
-/// (retain and fetch traffic included) into `out.stats.messages` and
-/// runs the in-memory [`verify_partitioned_merge`] check. In-process builds
-/// (`held` is `None`) skip straight to the in-memory check.
-///
-/// # Errors
-///
-/// [`BuildError::Worker`] — the worker's own typed error (a dead peer
-/// surfaces as `WorkerExited` / `Disconnected`, a bad merge as `Corrupt`
-/// or a fingerprint mismatch).
-pub fn finalize_worker_build(
-    out: &mut crate::api::BuildOutput,
-    held: Option<HeldOutputs>,
-    cfg: &BuildConfig,
-) -> Result<(), BuildError> {
-    use crate::api::OutputBackend;
-    if let Some(held) = held {
-        let backend = crate::api::RemotePartitionedBackend::from_held(out, held);
-        match backend.materialize() {
-            Ok(_) => {}
-            Err(e) => {
-                // Surface the transport's own typed error when there is
-                // one (a dead worker mid-fetch), not its stringified echo.
-                return Err(BuildError::Worker(backend.take_worker_error().unwrap_or(
-                    WorkerError::Corrupt {
-                        reason: format!("worker-held partition merge failed: {e}"),
-                    },
-                )));
-            }
-        }
-        if let Some(stats) = backend.final_stats() {
-            out.stats.messages = Some(stats);
-        }
-    }
-    verify_partitioned_merge(out, cfg)
 }
 
 #[cfg(test)]

@@ -78,9 +78,8 @@ pub struct BuildStats {
     /// **Measured** message statistics of a worker-pool build (`Some` only
     /// when `transport` is channel/process/socket on a sharded
     /// construction): exchange rounds driven, frontier messages and bytes
-    /// per shard pair — including the round-end shipping of the output
-    /// stream to the workers' retained partitions and the lazy fetch that
-    /// merges them back.
+    /// per shard pair. Only exploration traffic counts; the output stream
+    /// never crosses the wire.
     pub messages: Option<MessageStats>,
     /// Whether this output came from the construction cache.
     pub cache: CacheStatus,

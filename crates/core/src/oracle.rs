@@ -6,8 +6,8 @@
 //! built structure into a query server:
 //!
 //! * [`QueryEngine`] — wraps any build result (a live
-//!   [`BuildOutput`](crate::api::BuildOutput) or an opened
-//!   [`OutputBackend`](crate::api::OutputBackend), e.g. a stored snapshot)
+//!   [`BuildOutput`] or an opened
+//!   [`OutputBackend`], e.g. a stored snapshot)
 //!   and answers distance queries with a **certified** `(α, β)` bound
 //!   threaded from the construction's proof object: every answer `d̂`
 //!   satisfies `d_G(u,v) ≤ d̂ ≤ α·d_G(u,v) + β`.

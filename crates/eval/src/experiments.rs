@@ -432,14 +432,14 @@ pub fn e9_query_accuracy(
 /// construction counted two ways on the same input. The fast-centralized
 /// build on the channel worker transport *measures* real traffic between
 /// `shards` shard workers ([`BuildStats::messages`](usnae_core::api::BuildStats)
-/// — frontier candidates, rank exchange, and the round-end shipping of
-/// the output stream to the workers' retained partitions plus the lazy
-/// fetch that merges them back); the distributed build *simulates* the
-/// §3 CONGEST protocol and counts its idealized per-round messages. The
-/// `msg_ratio` column (measured / simulated) is the engineering-overhead
-/// factor of the worker protocol relative to the model — the paper's
-/// headline message-complexity metric made empirical. The parallel bench
-/// emits the same ratio into the `BENCH_<sha>.json` trend.
+/// — frontier candidates and the rank exchange; as in the CONGEST model,
+/// no output is shipped back at the end); the distributed build
+/// *simulates* the §3 CONGEST protocol and counts its idealized
+/// per-round messages. The `msg_ratio` column (measured / simulated) is
+/// the engineering-overhead factor of the worker protocol relative to the
+/// model — the paper's headline message-complexity metric made
+/// empirical. The parallel bench emits the same ratio into the
+/// `BENCH_<sha>.json` trend.
 pub fn e10_message_ratio(
     n: usize,
     kappa: u32,

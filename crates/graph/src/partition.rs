@@ -6,9 +6,10 @@
 //! adjacency) and a **cut-edge frontier list** — the directed edges whose
 //! head lives in another shard, i.e. exactly what a distributed
 //! implementation would have to communicate. No shard aliases the shared
-//! adjacency array of the source [`Graph`]; each is independently
-//! addressable (and, by design, could live in another process or on
-//! another machine — the ROADMAP's million-vertex direction).
+//! adjacency array of the source [`Graph`](crate::Graph); each is
+//! independently addressable (and, by design, could live in another
+//! process or on another machine — the ROADMAP's million-vertex
+//! direction).
 //!
 //! Two deterministic partitioners sit behind [`PartitionPolicy`]:
 //!
@@ -23,8 +24,9 @@
 //!
 //! The [`ShardView`] trait is the read seam: a bounded BFS (or any
 //! neighbor scan) written against `ShardView` runs unchanged over the
-//! shared array ([`Graph`] implements it) or over the sharded layout
-//! ([`ShardedCsr`] routes each lookup to the owning shard's local CSR).
+//! shared array ([`Graph`](crate::Graph) implements it) or over the
+//! sharded layout ([`ShardedCsr`] routes each lookup to the owning
+//! shard's local CSR).
 //! Because every shard stores its owned vertices' neighbor lists verbatim
 //! (sorted, global ids), the two views are **pointwise identical** — which
 //! is what makes sharded construction builds byte-identical to unsharded
@@ -84,7 +86,8 @@ impl std::fmt::Display for PartitionPolicy {
 }
 
 /// Uniform read access to a graph, independent of where its adjacency
-/// lives: one shared CSR ([`Graph`]) or per-worker shards ([`ShardedCsr`]).
+/// lives: one shared CSR ([`Graph`](crate::Graph)) or per-worker shards
+/// ([`ShardedCsr`]).
 ///
 /// Contract: for a view over `G`, `neighbors(v)` returns exactly
 /// `G.neighbors(v)` (sorted, global ids) for every `v < num_vertices()`.

@@ -25,11 +25,6 @@
 //!   loopback-spawned `usnae-worker --listen` children by default,
 //!   pre-started remote workers via `USNAE_WORKERS_ADDR`).
 //!
-//! Workers also hold **output partitions**: at round end the driver ships
-//! each worker the output records it owns ([`Request::Retain`]) and
-//! streams them back lazily ([`Request::FetchRetained`]), so a build's
-//! output can stay sharded across the pool until a consumer merges it.
-//!
 //! # Determinism contract
 //!
 //! For every transport, shard count, and worker interleaving, the results
@@ -51,8 +46,10 @@
 //!   producing output.
 //!
 //! Message statistics ([`MessageStats`]) are computed by the driver from
-//! message *counts* times fixed wire sizes, so the channel and process
-//! transports report identical numbers for the same build.
+//! message *counts* times fixed wire sizes, so the channel, process and
+//! socket transports report identical numbers for the same build. They
+//! count exploration traffic only: the driver builds the output from the
+//! explorations and keeps it, so no output record crosses the wire.
 
 pub mod channel;
 pub mod error;
@@ -66,7 +63,7 @@ pub mod worker;
 
 pub use error::WorkerError;
 pub use pool::WorkerPool;
-pub use proto::{Candidate, OutputRecord, Request, Response, ShardInit, Task};
+pub use proto::{Candidate, Request, Response, ShardInit, Task};
 pub use stats::{MessageStats, PairStats, TransportKind};
 pub use worker::ShardWorker;
 

@@ -3,11 +3,13 @@
 //! results, and records **measured** [`MessageStats`].
 //!
 //! Statistics are computed here, from message *counts* times the fixed
-//! wire sizes in [`crate::proto`], so the channel and process transports
-//! report identical numbers for the same build:
+//! wire sizes in [`crate::proto`], so the channel, process and socket
+//! transports report identical numbers for the same build. They count
+//! exploration traffic only (the driver keeps the output it builds):
 //!
 //! * `rounds` counts exchange barriers that advance a task (Start /
-//!   Round / Ranks); Init, Collect, and Shutdown are bookkeeping.
+//!   Round / Ranks); Init, Collect, and Shutdown are bookkeeping, and no
+//!   other exchange exists.
 //! * per-pair traffic covers frontier candidates routed worker → worker;
 //! * totals additionally include the rank-protocol keys and replies
 //!   (driver-mediated), so totals ≥ the sum over pairs.
@@ -21,8 +23,8 @@ use crate::channel::ChannelTransport;
 use crate::error::WorkerError;
 use crate::process::ProcessTransport;
 use crate::proto::{
-    Candidate, OutputRecord, Request, Response, ShardInit, Task, CANDIDATE_WIRE_BYTES,
-    KEY_WIRE_BYTES, RANK_WIRE_BYTES, RECORD_WIRE_BYTES,
+    Candidate, Request, Response, ShardInit, Task, CANDIDATE_WIRE_BYTES, KEY_WIRE_BYTES,
+    RANK_WIRE_BYTES,
 };
 use crate::socket::SocketTransport;
 use crate::stats::{MessageStats, PairStats, TransportKind};
@@ -61,11 +63,6 @@ impl StatsAccum {
     fn ranks(&mut self, n: u64) {
         self.messages += n;
         self.bytes += n * RANK_WIRE_BYTES;
-    }
-
-    fn records(&mut self, n: u64) {
-        self.messages += n;
-        self.bytes += n * RECORD_WIRE_BYTES;
     }
 
     fn snapshot(&self) -> MessageStats {
@@ -141,11 +138,6 @@ impl WorkerPool {
         self.boundaries.partition_point(|&b| b <= v) - 1
     }
 
-    /// Statistics accumulated so far.
-    pub fn message_stats(&self) -> MessageStats {
-        self.stats.snapshot()
-    }
-
     /// Gracefully stops every worker and returns the final statistics.
     ///
     /// # Errors
@@ -200,116 +192,6 @@ impl WorkerPool {
                     .collect(),
             })
             .collect())
-    }
-
-    /// Ships output records to their owning workers' retained partitions:
-    /// each record lands at the shard owning its `u` endpoint, ascending
-    /// stream order preserved within each shard. One exchange barrier;
-    /// the record traffic is counted into the pool's [`MessageStats`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`WorkerError`] from the transport, or a protocol error when a
-    /// worker's acknowledged partition size disagrees with what was sent.
-    pub fn retain_outputs(&mut self, records: &[OutputRecord]) -> Result<(), WorkerError> {
-        let shards = self.num_shards();
-        let mut parts: Vec<Vec<OutputRecord>> = vec![Vec::new(); shards];
-        for rec in records {
-            let u = usize::try_from(rec.u).map_err(|_| WorkerError::Corrupt {
-                reason: format!("output record endpoint {} overflows", rec.u),
-            })?;
-            parts[self.owner(u)].push(*rec);
-        }
-        let expected: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-        for part in &parts {
-            self.stats.records(part.len() as u64);
-        }
-        let reqs = parts
-            .into_iter()
-            .map(|records| Request::Retain { records })
-            .collect();
-        self.stats.rounds += 1;
-        let resps = self.transport.exchange(reqs)?;
-        for (shard, resp) in resps.into_iter().enumerate() {
-            let Response::Retained { held } = resp else {
-                return Err(WorkerError::Protocol {
-                    shard,
-                    reason: format!("expected Retained, got {resp:?}"),
-                });
-            };
-            if held < expected[shard] {
-                return Err(WorkerError::Protocol {
-                    shard,
-                    reason: format!(
-                        "worker holds {held} retained records after receiving {}",
-                        expected[shard]
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Streams every worker's retained partition back in bounded slices
-    /// of up to `chunk` records per worker per exchange, returning one
-    /// record list per shard (partition order). The fetch is stateless on
-    /// the worker side, so it can be repeated; the record traffic is
-    /// counted into the pool's [`MessageStats`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`WorkerError`] from the transport, or a protocol error when a
-    /// worker's advertised partition total shifts between slices.
-    pub fn fetch_retained(&mut self, chunk: usize) -> Result<Vec<Vec<OutputRecord>>, WorkerError> {
-        let shards = self.num_shards();
-        let chunk = chunk.max(1) as u64;
-        let mut parts: Vec<Vec<OutputRecord>> = vec![Vec::new(); shards];
-        let mut totals: Vec<Option<u64>> = vec![None; shards];
-        loop {
-            let mut reqs = Vec::with_capacity(shards);
-            let mut any = false;
-            for shard in 0..shards {
-                let offset = parts[shard].len() as u64;
-                let done = totals[shard].is_some_and(|t| offset >= t);
-                let max = if done { 0 } else { chunk };
-                any |= !done;
-                reqs.push(Request::FetchRetained { offset, max });
-            }
-            if !any {
-                return Ok(parts);
-            }
-            self.stats.rounds += 1;
-            let resps = self.transport.exchange(reqs)?;
-            for (shard, resp) in resps.into_iter().enumerate() {
-                let Response::RetainedPart { records, total } = resp else {
-                    return Err(WorkerError::Protocol {
-                        shard,
-                        reason: format!("expected RetainedPart, got {resp:?}"),
-                    });
-                };
-                if let Some(t) = totals[shard] {
-                    if t != total {
-                        return Err(WorkerError::Protocol {
-                            shard,
-                            reason: format!("retained partition total moved: {t} -> {total}"),
-                        });
-                    }
-                } else {
-                    totals[shard] = Some(total);
-                }
-                self.stats.records(records.len() as u64);
-                parts[shard].extend(records);
-                if parts[shard].len() as u64 > total {
-                    return Err(WorkerError::Protocol {
-                        shard,
-                        reason: format!(
-                            "worker streamed {} records for an advertised total of {total}",
-                            parts[shard].len()
-                        ),
-                    });
-                }
-            }
-        }
     }
 
     /// Runs one task to quiescence and returns, per ball, the settled

@@ -46,12 +46,6 @@ pub const KEY_WIRE_BYTES: u64 = 20;
 /// Wire size of one rank-protocol reply rank.
 pub const RANK_WIRE_BYTES: u64 = 8;
 
-/// Wire size of one retained [`OutputRecord`]: index (8) + u (8) + v (8) +
-/// weight (8) + phase (8) + kind (1) + charged_to (8). Message statistics
-/// multiply record counts by this constant in both directions (retain and
-/// fetch), so every transport reports identical bytes.
-pub const RECORD_WIRE_BYTES: u64 = 49;
-
 /// Everything a worker needs to own one shard: its id, the global vertex
 /// range it owns, and its local CSR arrays (global vertex ids in the
 /// adjacency, exactly as [`usnae_graph::partition::CsrShard`] stores them).
@@ -120,33 +114,6 @@ pub struct Candidate {
     pub parent_rank: u64,
 }
 
-/// One record of a build's output insertion stream, in the transport's
-/// integer-tuple form (the driver's edge/provenance types live above this
-/// crate): the record's position in the original stream plus the edge
-/// `(u, v, weight)` and its provenance `(phase, kind code, charged_to)`.
-///
-/// Workers hold these as their **retained output partition**: the driver
-/// ships each worker the records whose `u` endpoint it owns
-/// ([`Request::Retain`]) and streams them back lazily at finish
-/// ([`Request::FetchRetained`]), merging by `index`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutputRecord {
-    /// Position in the original insertion stream (the merge key).
-    pub index: u64,
-    /// Lower edge endpoint (canonicalized `u <= v`); ownership key.
-    pub u: u64,
-    /// Upper edge endpoint.
-    pub v: u64,
-    /// Edge weight.
-    pub weight: u64,
-    /// Construction phase that inserted the edge.
-    pub phase: u64,
-    /// Edge-kind code (the driver's `EdgeKind::code`).
-    pub kind: u8,
-    /// Vertex the insertion was charged to.
-    pub charged_to: u64,
-}
-
 /// Driver → worker messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -179,22 +146,6 @@ pub enum Request {
     },
     /// Return the accumulated results for the current task.
     Collect,
-    /// Append these records (all owned by this worker) to the worker's
-    /// retained output partition; the worker replies
-    /// [`Response::Retained`] with its new partition size.
-    Retain {
-        /// Records to retain, ascending by `index`.
-        records: Vec<OutputRecord>,
-    },
-    /// Stream a slice of the retained partition back: up to `max` records
-    /// starting at `offset` (stateless, so a slice can be re-fetched);
-    /// the worker replies [`Response::RetainedPart`].
-    FetchRetained {
-        /// First record to return (position within the partition).
-        offset: u64,
-        /// Maximum records to return.
-        max: u64,
-    },
     /// Tear down; the worker replies [`Response::Stopping`] and exits.
     Shutdown,
 }
@@ -226,19 +177,6 @@ pub enum Response {
     Results {
         /// One vector per ball, ball order.
         balls: Vec<Vec<(VertexId, Dist, u64)>>,
-    },
-    /// Retain acknowledged: the worker's retained partition now holds
-    /// `held` records.
-    Retained {
-        /// Total records in this worker's retained partition.
-        held: u64,
-    },
-    /// One slice of the retained partition, in partition order.
-    RetainedPart {
-        /// The requested records (empty when `offset` is past the end).
-        records: Vec<OutputRecord>,
-        /// Total records in this worker's retained partition.
-        total: u64,
     },
     /// Shutdown acknowledged.
     Stopping,
@@ -372,37 +310,9 @@ fn get_candidates(r: &mut Cursor<'_>) -> Result<Vec<Candidate>, WorkerError> {
     Ok(out)
 }
 
-fn put_records(w: &mut Wire, rs: &[OutputRecord]) {
-    w.usize(rs.len());
-    for rec in rs {
-        w.u64(rec.index);
-        w.u64(rec.u);
-        w.u64(rec.v);
-        w.u64(rec.weight);
-        w.u64(rec.phase);
-        w.u8(rec.kind);
-        w.u64(rec.charged_to);
-    }
-}
-
-fn get_records(r: &mut Cursor<'_>) -> Result<Vec<OutputRecord>, WorkerError> {
-    let n = r.count(RECORD_WIRE_BYTES as usize)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(OutputRecord {
-            index: r.u64()?,
-            u: r.u64()?,
-            v: r.u64()?,
-            weight: r.u64()?,
-            phase: r.u64()?,
-            kind: r.u8()?,
-            charged_to: r.u64()?,
-        });
-    }
-    Ok(out)
-}
-
 impl Request {
+    /// The frame kind byte. Kinds 6 and 7 are retired and never reused, so
+    /// a v1 driver that still sends them gets an unknown-kind error.
     fn kind(&self) -> u8 {
         match self {
             Request::Init(_) => 0,
@@ -411,8 +321,6 @@ impl Request {
             Request::Ranks { .. } => 3,
             Request::Collect => 4,
             Request::Shutdown => 5,
-            Request::Retain { .. } => 6,
-            Request::FetchRetained { .. } => 7,
         }
     }
 
@@ -465,11 +373,6 @@ impl Request {
                         w.u64(r);
                     }
                 }
-            }
-            Request::Retain { records } => put_records(&mut w, records),
-            Request::FetchRetained { offset, max } => {
-                w.u64(*offset);
-                w.u64(*max);
             }
             Request::Collect | Request::Shutdown => {}
         }
@@ -549,13 +452,6 @@ impl Request {
             }
             4 => Request::Collect,
             5 => Request::Shutdown,
-            6 => Request::Retain {
-                records: get_records(&mut r)?,
-            },
-            7 => Request::FetchRetained {
-                offset: r.u64()?,
-                max: r.u64()?,
-            },
             _ => {
                 return Err(WorkerError::Corrupt {
                     reason: format!("unknown request kind {kind}"),
@@ -568,6 +464,8 @@ impl Request {
 }
 
 impl Response {
+    /// The frame kind byte. Kinds 5 and 6 are retired and never reused, so
+    /// a v1 worker that still answers with them gets an unknown-kind error.
     fn kind(&self) -> u8 {
         match self {
             Response::Ready => 0,
@@ -575,8 +473,6 @@ impl Response {
             Response::Settled { .. } => 2,
             Response::Results { .. } => 3,
             Response::Stopping => 4,
-            Response::Retained { .. } => 5,
-            Response::RetainedPart { .. } => 6,
         }
     }
 
@@ -609,11 +505,6 @@ impl Response {
                         w.u64(parent);
                     }
                 }
-            }
-            Response::Retained { held } => w.u64(*held),
-            Response::RetainedPart { records, total } => {
-                w.u64(*total);
-                put_records(&mut w, records);
             }
         }
         w.buf
@@ -656,12 +547,6 @@ impl Response {
                 Response::Results { balls }
             }
             4 => Response::Stopping,
-            5 => Response::Retained { held: r.u64()? },
-            6 => {
-                let total = r.u64()?;
-                let records = get_records(&mut r)?;
-                Response::RetainedPart { records, total }
-            }
             _ => {
                 return Err(WorkerError::Corrupt {
                     reason: format!("unknown response kind {kind}"),
@@ -718,7 +603,6 @@ pub fn read_response(input: &mut impl Read) -> Result<Response, WorkerError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usnae_graph::metrics::Fnv64;
 
     fn round_trip_request(req: Request) {
         let mut buf = Vec::new();
@@ -741,18 +625,6 @@ mod tests {
             dist: 2,
             parent: 9,
             parent_rank: 5,
-        }
-    }
-
-    fn sample_record(index: u64) -> OutputRecord {
-        OutputRecord {
-            index,
-            u: 4,
-            v: 11,
-            weight: 3,
-            phase: 1,
-            kind: 2,
-            charged_to: 4,
         }
     }
 
@@ -780,11 +652,6 @@ mod tests {
             ranks: vec![(0, vec![0, 3, 4]), (1, vec![])],
         });
         round_trip_request(Request::Collect);
-        round_trip_request(Request::Retain {
-            records: vec![sample_record(0), sample_record(7)],
-        });
-        round_trip_request(Request::Retain { records: vec![] });
-        round_trip_request(Request::FetchRetained { offset: 3, max: 64 });
         round_trip_request(Request::Shutdown);
 
         round_trip_response(Response::Ready);
@@ -797,15 +664,6 @@ mod tests {
         });
         round_trip_response(Response::Results {
             balls: vec![vec![(3, 0, 0), (4, 1, 4)], vec![]],
-        });
-        round_trip_response(Response::Retained { held: 12 });
-        round_trip_response(Response::RetainedPart {
-            records: vec![sample_record(5)],
-            total: 9,
-        });
-        round_trip_response(Response::RetainedPart {
-            records: vec![],
-            total: 0,
         });
         round_trip_response(Response::Stopping);
     }
@@ -870,21 +728,31 @@ mod tests {
             Err(WorkerError::ChecksumMismatch { .. })
         ));
 
-        // Unknown kind byte (checksum recomputed so it survives framing).
-        let payload: &[u8] = &[];
-        let mut frame = Vec::new();
-        frame.extend_from_slice(MAGIC);
-        frame.extend_from_slice(&VERSION.to_le_bytes());
-        frame.push(200);
-        frame.extend_from_slice(&0u64.to_le_bytes());
-        frame.extend_from_slice(payload);
-        let mut h = Fnv64::new();
-        h.write_bytes(&frame);
-        frame.extend_from_slice(&h.finish().to_le_bytes());
-        assert!(matches!(
-            read_request(&mut frame.as_slice()),
-            Err(WorkerError::Corrupt { .. })
-        ));
+        // Unknown kind bytes in well-formed frames, the retired ones
+        // included (requests 6/7, responses 5/6): each is a typed Corrupt.
+        let frame = |kind: u8| {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, kind, &[]).unwrap();
+            frame
+        };
+        for kind in [6, 7, 200] {
+            assert!(
+                matches!(
+                    read_request(&mut frame(kind).as_slice()),
+                    Err(WorkerError::Corrupt { .. })
+                ),
+                "request kind {kind}"
+            );
+        }
+        for kind in [5, 6, 200] {
+            assert!(
+                matches!(
+                    read_response(&mut frame(kind).as_slice()),
+                    Err(WorkerError::Corrupt { .. })
+                ),
+                "response kind {kind}"
+            );
+        }
     }
 
     #[test]
@@ -893,13 +761,5 @@ mod tests {
         put_candidates(&mut w, &[sample_candidate()]);
         // 8 bytes of count prefix + one candidate.
         assert_eq!(w.buf.len() as u64, 8 + CANDIDATE_WIRE_BYTES);
-    }
-
-    #[test]
-    fn record_wire_size_matches_the_constant() {
-        let mut w = Wire::new();
-        put_records(&mut w, &[sample_record(1)]);
-        // 8 bytes of count prefix + one record.
-        assert_eq!(w.buf.len() as u64, 8 + RECORD_WIRE_BYTES);
     }
 }

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use usnae_graph::{Dist, VertexId};
 
 use crate::error::WorkerError;
-use crate::proto::{Candidate, OutputRecord, Request, Response, ShardInit, Task};
+use crate::proto::{Candidate, Request, Response, ShardInit, Task};
 
 /// A settled owned vertex: its distance, BFS-tree parent, and FIFO-queue
 /// rank within its level (Explorations only; 0 for Balls).
@@ -75,23 +75,16 @@ struct Active {
     balls: Vec<BallState>,
 }
 
-/// One shard's worker: local CSR arrays, the active task state, and the
-/// retained output partition (records whose lower endpoint this shard
-/// owns, held at the worker between rounds and streamed back lazily).
+/// One shard's worker: local CSR arrays and the active task state.
 pub struct ShardWorker {
     init: ShardInit,
     active: Option<Active>,
-    retained: Vec<OutputRecord>,
 }
 
 impl ShardWorker {
     /// Builds a worker from its shard layout.
     pub fn new(init: ShardInit) -> Self {
-        ShardWorker {
-            init,
-            active: None,
-            retained: Vec::new(),
-        }
+        ShardWorker { init, active: None }
     }
 
     /// This worker's shard id.
@@ -128,44 +121,7 @@ impl ShardWorker {
             Request::Round { batches } => self.round(batches),
             Request::Ranks { ranks } => self.ranks(ranks),
             Request::Collect => self.collect(),
-            Request::Retain { records } => self.retain(records),
-            Request::FetchRetained { offset, max } => Ok(self.fetch_retained(offset, max)),
             Request::Shutdown => Ok(Response::Stopping),
-        }
-    }
-
-    fn retain(&mut self, records: Vec<OutputRecord>) -> Result<Response, WorkerError> {
-        for rec in &records {
-            let u = usize::try_from(rec.u).map_err(|_| {
-                self.protocol(format!("retained record endpoint {} overflows", rec.u))
-            })?;
-            if !self.owns(u) {
-                return Err(self.protocol(format!(
-                    "retained record for vertex {u} is not owned by this shard"
-                )));
-            }
-            if let Some(last) = self.retained.last() {
-                if rec.index <= last.index {
-                    return Err(self.protocol(format!(
-                        "retained record index {} is not ascending (last {})",
-                        rec.index, last.index
-                    )));
-                }
-            }
-            self.retained.push(*rec);
-        }
-        Ok(Response::Retained {
-            held: self.retained.len() as u64,
-        })
-    }
-
-    fn fetch_retained(&self, offset: u64, max: u64) -> Response {
-        let total = self.retained.len() as u64;
-        let start = offset.min(total) as usize;
-        let end = offset.saturating_add(max).min(total) as usize;
-        Response::RetainedPart {
-            records: self.retained[start..end].to_vec(),
-            total,
         }
     }
 
@@ -473,71 +429,6 @@ mod tests {
         };
         let got: Vec<(VertexId, Dist)> = balls[0].iter().map(|&(v, d, _)| (v, d)).collect();
         assert_eq!(got, vec![(0, 1), (1, 0), (2, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn retained_partition_accumulates_and_streams_in_slices() {
-        let mut w = ShardWorker::new(whole_path_init());
-        let rec = |index: u64, u: u64| OutputRecord {
-            index,
-            u,
-            v: u + 1,
-            weight: 1,
-            phase: 0,
-            kind: 0,
-            charged_to: u,
-        };
-        let Response::Retained { held } = w
-            .handle(Request::Retain {
-                records: vec![rec(0, 1), rec(2, 3)],
-            })
-            .unwrap()
-        else {
-            panic!("expected Retained")
-        };
-        assert_eq!(held, 2);
-        // A second Retain appends (indices keep ascending across calls).
-        let Response::Retained { held } = w
-            .handle(Request::Retain {
-                records: vec![rec(5, 0)],
-            })
-            .unwrap()
-        else {
-            panic!("expected Retained")
-        };
-        assert_eq!(held, 3);
-        // Stateless slicing: the same slice fetches twice identically,
-        // and an out-of-range offset returns an empty slice.
-        let fetch = |w: &mut ShardWorker, offset, max| match w
-            .handle(Request::FetchRetained { offset, max })
-            .unwrap()
-        {
-            Response::RetainedPart { records, total } => (records, total),
-            other => panic!("expected RetainedPart, got {other:?}"),
-        };
-        let (first, total) = fetch(&mut w, 0, 2);
-        assert_eq!(total, 3);
-        assert_eq!(
-            first.iter().map(|r| r.index).collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(fetch(&mut w, 0, 2), (first, 3));
-        let (rest, _) = fetch(&mut w, 2, 100);
-        assert_eq!(rest, vec![rec(5, 0)]);
-        assert_eq!(fetch(&mut w, 9, 4), (vec![], 3));
-        // Foreign and non-ascending records are protocol errors.
-        assert!(matches!(
-            w.handle(Request::Retain {
-                records: vec![rec(6, 99)]
-            }),
-            Err(WorkerError::Protocol { .. })
-        ));
-        assert!(matches!(
-            w.handle(Request::Retain {
-                records: vec![rec(5, 1)]
-            }),
-            Err(WorkerError::Protocol { .. })
-        ));
     }
 
     #[test]

@@ -190,9 +190,10 @@
 //! # Distributed execution
 //!
 //! A partitioned build can hand each shard to its own **worker** — an OS
-//! thread (`channel` transport) or a child `usnae-worker` process
-//! (`process` transport) — that owns the shard's adjacency and answers
-//! typed frontier messages behind a deterministic round barrier. The
+//! thread (`channel` transport), a child `usnae-worker` process over
+//! pipes (`process` transport) or a `usnae-worker` over TCP (`socket`
+//! transport) — that owns the shard's adjacency and answers typed
+//! frontier messages behind a deterministic round barrier. The
 //! built structure stays byte-identical to the in-process build
 //! (enforced registry-wide by `tests/worker_conformance.rs`), and the
 //! measured message complexity lands in `stats.messages`:

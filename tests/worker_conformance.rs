@@ -19,7 +19,8 @@
 //!   `(graph, config)`;
 //! * the golden reference streams checked into `tests/data/` — fixed
 //!   files, so a worker-protocol regression is caught **without
-//!   rebuilding the oracle**.
+//!   rebuilding the oracle**. The same builds pin their exact worker
+//!   traffic (`PINNED_TRAFFIC`).
 //!
 //! An interleaving-stress leg reruns the channel matrix with seeded
 //! random per-worker delays (`USNAE_WORKER_DELAY_SEED`) to scramble the
@@ -159,6 +160,18 @@ fn every_registry_algorithm_is_transport_invariant() {
     }
 }
 
+/// Exact worker traffic `(rounds, messages, bytes)` of the golden builds
+/// on two shards, per fixture graph and construction. The counters are
+/// deterministic and transport-invariant, and they cover exploration
+/// traffic only: a build ships no output records, so these are exactly
+/// the frontier, key and rank messages of its exploration rounds.
+const PINNED_TRAFFIC: [(&str, &str, (u64, u64, u64)); 4] = [
+    ("ring48", "centralized", (40, 82, 2_952)),
+    ("ring48", "fast-centralized", (50, 350, 12_600)),
+    ("grid8x8", "centralized", (192, 76, 2_736)),
+    ("grid8x8", "fast-centralized", (80, 254, 9_144)),
+];
+
 #[test]
 fn worker_builds_match_the_golden_reference_streams() {
     // Fixed oracle: the checked-in golden fingerprints. No in-process
@@ -201,6 +214,18 @@ fn worker_builds_match_the_golden_reference_streams() {
                     c.name(),
                     path.display()
                 );
+                let pinned = PINNED_TRAFFIC
+                    .iter()
+                    .find(|(t, name, _)| *t == tag && *name == c.name());
+                if let Some(&(_, _, expected)) = pinned {
+                    let stats = out.stats.messages.expect("worker build measures messages");
+                    assert_eq!(
+                        (stats.rounds, stats.messages, stats.bytes),
+                        expected,
+                        "{} on {tag} ({transport} x2): worker traffic moved",
+                        c.name()
+                    );
+                }
             }
         }
     }
@@ -341,100 +366,4 @@ fn transport_composes_with_threads_and_cache() {
     assert_eq!(warm.stats.transport, TransportKind::Channel);
     assert_eq!(warm.stats.messages, cold.stats.messages);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Per-shard CSR inits for a path graph 0-1-…-(n-1), owned ranges split
-/// evenly — the direct [`WorkerPool`] harness the merge-order test drives
-/// (no build, no registry: the retained-partition protocol in isolation).
-fn path_inits(n: usize, num_shards: usize) -> Vec<usnae::workers::ShardInit> {
-    (0..num_shards)
-        .map(|shard| {
-            let start = shard * n / num_shards;
-            let end = (shard + 1) * n / num_shards;
-            let mut offsets = vec![0usize];
-            let mut adjacency = Vec::new();
-            for v in start..end {
-                if v > 0 {
-                    adjacency.push(v - 1);
-                }
-                if v + 1 < n {
-                    adjacency.push(v + 1);
-                }
-                offsets.push(adjacency.len());
-            }
-            usnae::workers::ShardInit {
-                shard,
-                num_shards,
-                num_vertices: n,
-                start,
-                end,
-                offsets,
-                adjacency,
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn worker_held_partitions_merge_identically_across_transports_and_chunks() {
-    use usnae::workers::{OutputRecord, WorkerPool};
-    let n = 16usize;
-    // Owners interleave across the whole stream: consecutive indices land
-    // on different shards, so any merge that trusts arrival order instead
-    // of the stream index scrambles.
-    let records: Vec<OutputRecord> = (0..97u64)
-        .map(|i| OutputRecord {
-            index: i,
-            u: (i * 7) % n as u64,
-            v: (i * 7 + 1) % n as u64,
-            weight: i + 1,
-            phase: i % 4,
-            kind: (i % 3) as u8,
-            charged_to: (i * 7) % n as u64,
-        })
-        .collect();
-    let mut merged_streams: Vec<Vec<OutputRecord>> = Vec::new();
-    for transport in transports() {
-        for shards in [2usize, 4] {
-            let ctx = format!("{transport} x{shards}");
-            let mut pool = WorkerPool::new(transport, path_inits(n, shards))
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            pool.retain_outputs(&records)
-                .unwrap_or_else(|e| panic!("{ctx}: retain: {e}"));
-            // The fetch is stateless on the worker side: every chunk size
-            // (single-record, ragged, one-shot) and every repetition must
-            // reproduce the identical merged stream.
-            let mut last: Option<Vec<Vec<OutputRecord>>> = None;
-            for chunk in [1usize, 3, 1000, 3] {
-                let parts = pool
-                    .fetch_retained(chunk)
-                    .unwrap_or_else(|e| panic!("{ctx}: fetch chunk={chunk}: {e}"));
-                assert_eq!(parts.len(), shards, "{ctx}");
-                for part in &parts {
-                    assert!(
-                        part.windows(2).all(|w| w[0].index < w[1].index),
-                        "{ctx}: partition not index-ascending"
-                    );
-                }
-                if let Some(prev) = &last {
-                    assert_eq!(prev, &parts, "{ctx}: re-fetch diverged (chunk={chunk})");
-                }
-                last = Some(parts);
-            }
-            let mut merged: Vec<OutputRecord> = last
-                .expect("fetched at least once")
-                .into_iter()
-                .flatten()
-                .collect();
-            merged.sort_unstable_by_key(|r| r.index);
-            assert_eq!(merged, records, "{ctx}: merge lost or reordered records");
-            merged_streams.push(merged);
-            pool.shutdown()
-                .unwrap_or_else(|e| panic!("{ctx}: shutdown: {e}"));
-        }
-    }
-    // Transport- and shard-invariance of the merged stream itself.
-    for pair in merged_streams.windows(2) {
-        assert_eq!(pair[0], pair[1]);
-    }
 }
