@@ -49,9 +49,7 @@ pub(crate) fn build_em19_exec(
     for i in 0..=params.ell() {
         let last = i == params.ell();
         partition = clock.measure(i, || {
-            let centers = partition.len();
-            let next = run_phase(g, engine, &mut spanner, &partition, i, params, last);
-            (next, centers)
+            run_phase(g, engine, &mut spanner, &partition, i, params, last)
         });
     }
     (spanner, clock.into_phases())
@@ -86,7 +84,7 @@ fn run_phase(
     i: usize,
     params: &DistributedParams,
     last: bool,
-) -> Partition {
+) -> (Partition, usize) {
     let n = g.num_vertices();
     let delta = params.delta(i);
     let cap = params.degree_cap(i, n);
@@ -97,11 +95,14 @@ fn run_phase(
         is_center[c] = true;
     }
 
-    // Task-1 scans are pure per-center BFS — sharded, run in bounded
+    // Task 1: outside the last phase a center of a saturated component
+    // with more than `cap` centers is popular without a search. The other
+    // centers' scans are pure per-center BFS — sharded, run in bounded
     // chunks and consumed in center order (deterministic for every thread
     // count and transport); only explorations interconnection may need
     // are kept.
-    let (popular, explorations) = explore_centers(engine, &centers, delta, &is_center, cap, last);
+    let (popular, explorations, searched) =
+        explore_centers(engine, &centers, delta, &is_center, cap, last);
 
     let mut superclustered = vec![false; n];
     let mut next_clusters: Vec<Cluster> = Vec::new();
@@ -152,7 +153,7 @@ fn run_phase(
         }
     }
 
-    Partition::from_clusters(next_clusters)
+    (Partition::from_clusters(next_clusters), searched)
 }
 
 #[cfg(test)]

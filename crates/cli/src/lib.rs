@@ -1049,10 +1049,10 @@ pub fn execute(opts: &Options) -> Result<Vec<String>, CliError> {
             "build: {:.3?} on {} thread(s)",
             out.stats.total, out.stats.threads
         );
-        if let Some(p0) = out.stats.phase0() {
+        for p in &out.stats.phases {
             timing.push_str(&format!(
-                "; phase 0: {p0:.3?} ({} explorations)",
-                out.stats.phases[0].explorations
+                "; phase {}: {:.3?} ({} explorations)",
+                p.phase, p.duration, p.explorations
             ));
         }
         lines.push(timing);
@@ -1352,6 +1352,41 @@ mod tests {
         };
         assert_eq!(fp(&inproc), fp(&channel));
         let _ = std::fs::remove_file(&input);
+    }
+
+    #[test]
+    fn report_times_every_recorded_phase() {
+        let input = std::env::temp_dir().join(format!("usnae-cli-ph-{}.txt", std::process::id()));
+        let g = usnae_graph::generators::gnp_connected(120, 0.05, 3).unwrap();
+        let text: String = g.edges().map(|(u, v)| format!("{u} {v}\n")).collect();
+        std::fs::write(&input, text).unwrap();
+        let opts = Options {
+            algo: "spanner".to_string(),
+            input: input.display().to_string(),
+            graph_file: None,
+            output: None,
+            config: BuildConfig::default(),
+            report: true,
+            cache_dir: None,
+            connect: None,
+            workers_addr: None,
+        };
+        let lines = execute(&opts).unwrap();
+        let _ = std::fs::remove_file(&input);
+        let phases = run_build(&g, &opts).unwrap().stats.phases;
+        assert!(phases.len() > 1, "spanner records every phase");
+        let line = lines
+            .iter()
+            .find(|l| l.starts_with("build: "))
+            .expect("--report prints the build line");
+        assert!(line.contains(" thread(s); phase 0: "), "{line}");
+        let entries: Vec<&str> = line.split("; ").skip(1).collect();
+        assert_eq!(entries.len(), phases.len(), "{line}");
+        for (entry, p) in entries.iter().zip(&phases) {
+            let head = format!("phase {}: ", p.phase);
+            let tail = format!(" ({} explorations)", p.explorations);
+            assert!(entry.starts_with(&head) && entry.ends_with(&tail), "{line}");
+        }
     }
 
     #[test]

@@ -19,11 +19,15 @@
 //!   the pool only changes where the work runs and adds **measured**
 //!   [`MessageStats`] to the build's report.
 //!
-//! Task 1 of a phase (one search per center) runs in bounded chunks
-//! ([`Engine::for_each_ball`], [`Engine::for_each_exploration`]): the
-//! caller keeps what it needs of each result and drops the rest, so a
-//! phase holds about 16 MiB of search results at a time instead of one
-//! ball per center.
+//! Task 1 of a phase runs one search per center whose popularity is not
+//! already known, in bounded chunks ([`Engine::for_each_ball`],
+//! [`Engine::for_each_exploration`]): the caller keeps what it needs of
+//! each result and drops the rest, so a phase holds about 16 MiB of
+//! search results at a time instead of one ball per center. Outside the
+//! last phase a center needs no search when its component is saturated
+//! (every ball in it is the whole component, by a bound the engine
+//! learns once per build from one BFS per component) and holds more
+//! than `cap` centers: [`sai::classify_centers`] applies that rule.
 //!
 //! Worker failures never corrupt a build: on the first transport error the
 //! engine stashes the typed [`WorkerError`], drops the pool, finishes the
@@ -101,6 +105,24 @@ pub struct Engine<'g, S: AdjStorage = HeapAdj> {
     scratch: RefCell<ScratchPool>,
     /// Maximum degree of the view, computed on first use.
     max_degree: OnceCell<usize>,
+    /// Connected components of the view, computed on first use.
+    components: OnceCell<Components>,
+}
+
+/// The connected components of an engine's view, each with the depth
+/// from which a search inside it settles the whole component.
+///
+/// Components are numbered in order of their min-id vertex `r`. For any
+/// vertex `c` of a component, `ecc(c) ≤ d(c, r) + ecc(r) ≤ 2·ecc(r)`, so
+/// a search from `c` to any depth `≥ 2·ecc(r)` reaches every vertex of
+/// the component.
+#[derive(Debug)]
+pub(crate) struct Components {
+    /// Component index of each vertex.
+    pub(crate) of: Vec<usize>,
+    /// `2·ecc(r)` of each component: a search to at least this depth from
+    /// any of its vertices settles the whole component.
+    pub(crate) saturation: Vec<Dist>,
 }
 
 impl<'g, S: AdjStorage> Engine<'g, S> {
@@ -142,6 +164,7 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
             error: RefCell::new(None),
             scratch: RefCell::new(ScratchPool::new(n, threads)),
             max_degree: OnceCell::new(),
+            components: OnceCell::new(),
         }
     }
 
@@ -265,6 +288,34 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
             k += 1;
         }
         bound.min(n)
+    }
+
+    /// The view's connected components and their saturation depths,
+    /// computed on first use by one unbounded BFS per component from its
+    /// min-id vertex. The pass runs here, on this engine's own scratch,
+    /// even when a worker pool runs the other searches: it is one search
+    /// per component, once per build, over the view the driver already
+    /// holds.
+    pub(crate) fn components(&self) -> &Components {
+        self.components.get_or_init(|| {
+            let n = self.view.num_vertices();
+            let mut scratch = self.scratch.borrow_mut();
+            let mut of = vec![usize::MAX; n];
+            let mut saturation = Vec::new();
+            for r in 0..n {
+                if of[r] != usize::MAX {
+                    continue; // an earlier, smaller root reached it
+                }
+                let ball = scratch.balls(&self.view, &[r], Dist::MAX);
+                let mut ecc = 0;
+                for &(v, d) in ball.iter().flatten() {
+                    of[v] = saturation.len();
+                    ecc = ecc.max(d);
+                }
+                saturation.push(ecc.saturating_mul(2));
+            }
+            Components { of, saturation }
+        })
     }
 
     /// Deterministic greedy ruling-set carving (the
@@ -431,6 +482,28 @@ mod tests {
         assert_eq!(engine.ball_bound(2), 17);
         assert_eq!(engine.ball_bound(3), 53);
         assert_eq!(engine.ball_bound(Dist::MAX), 100);
+    }
+
+    #[test]
+    fn components_carry_twice_their_roots_eccentricity() {
+        // A path 0–1–2–3, the isolated vertex 4, and a 6-cycle on 5..11.
+        let mut b = usnae_graph::GraphBuilder::new(11);
+        for (u, v) in [(0, 1), (1, 2), (2, 3)] {
+            b.add_edge(u, v).unwrap();
+        }
+        for i in 0..6 {
+            b.add_edge(5 + i, 5 + (i + 1) % 6).unwrap();
+        }
+        let g = b.build();
+        let cfg = BuildConfig {
+            shards: 3,
+            ..BuildConfig::default()
+        };
+        for engine in [Engine::inproc(&g, 2), Engine::new(&g, &cfg)] {
+            let components = engine.components();
+            assert_eq!(components.of, [0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2]);
+            assert_eq!(components.saturation, [6, 0, 6]);
+        }
     }
 
     #[test]

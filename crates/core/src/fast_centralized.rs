@@ -157,12 +157,21 @@ fn run_phase<S: AdjStorage>(
         superclustering_edges: 0,
     };
 
-    // Task 1: popular-cluster detection — one pure bounded BFS per center,
-    // fanned out through the engine (local CSR shards or a worker pool when
-    // partitioned) in bounded chunks, consumed in center order. Each
-    // center keeps its neighboring centers, ascending by vertex id.
-    let (popular, neighbor_lists) = classify_centers(
-        |consume| engine.for_each_ball(&centers, delta, consume),
+    // Task 1: popular-cluster detection. Outside the last phase a center
+    // of a saturated component (every ball in it is the whole component)
+    // with more than `cap` centers is popular without a search; every
+    // other center runs one pure bounded BFS, fanned out through the
+    // engine (local CSR shards or a worker pool when partitioned) in
+    // bounded chunks, consumed in center order. An unpopular center (in
+    // the last phase, every center) keeps its neighboring centers,
+    // ascending by vertex id.
+    let (popular, neighbor_lists, explorations) = classify_centers(
+        engine,
+        &centers,
+        delta,
+        cap,
+        last,
+        |sources, consume| engine.for_each_ball(sources, delta, consume),
         |rc, ball: Vec<(VertexId, Dist)>| {
             // Collected from a borrowing iterator, so the short list gets
             // a fresh buffer instead of keeping the whole ball's alive.
@@ -173,10 +182,7 @@ fn run_phase<S: AdjStorage>(
                 .collect();
             (nbrs.len(), nbrs)
         },
-        cap,
-        last,
     );
-    let explorations = centers.len();
     phase_trace.num_popular = popular.len();
     debug_assert!(
         !last || popular.is_empty(),

@@ -6,40 +6,102 @@ use usnae_graph::par::{self, Exploration};
 use usnae_graph::partition::ShardView;
 use usnae_graph::{AdjStorage, Dist, Graph, VertexId};
 
-/// Task 1 of a ruling-set phase, classified as its results arrive:
-/// `chunk_loop` runs one of the engine's chunk loops, handing each center
-/// and its search result to the callback in center order, and `keep` maps
-/// a result to its number of neighboring centers and the value
+/// Task 1 of a ruling-set phase: classifies every center as popular (at
+/// least `cap` neighboring centers within `delta`) or not, searching only
+/// the centers whose class is not already known.
+///
+/// Outside the last phase a center is popular without a search when its
+/// component is saturated at `delta` (`delta ≥ 2·ecc(r)` for the
+/// component's min-id vertex `r`, so the search would settle the whole
+/// component) and holds more than `cap` centers (so the search would find
+/// at least `cap` others). Every other center goes through `search`, which
+/// runs one of the engine's chunk loops over the given sources, handing
+/// each source and its search result to the callback in source order;
+/// `keep` maps a result to its number of neighboring centers and the value
 /// interconnection may need.
 ///
-/// Returns the popular centers (at least `cap` neighboring centers) and,
-/// per center, the kept value. Outside the last phase a popular center
-/// keeps none: the ruling set dominates it within `2δ_i`, and the ruling
-/// forest grows to depth `rul_i + δ_i ≥ 2δ_i` (as `ρ ≤ 1/2`), so it is
-/// always superclustered. The last phase grows no forest, so there every
-/// center keeps its value.
-pub fn classify_centers<R, T>(
-    chunk_loop: impl FnOnce(&mut dyn FnMut(VertexId, R)),
-    keep: impl Fn(VertexId, R) -> (usize, T),
+/// Returns the popular centers, per center the kept value, and the number
+/// of centers searched. Outside the last phase a popular center keeps
+/// none: the ruling set dominates it within `2δ_i`, and the ruling forest
+/// grows to depth `rul_i + δ_i ≥ 2δ_i` (as `ρ ≤ 1/2`), so it is always
+/// superclustered. That is also why a skipped center loses nothing. The
+/// last phase grows no forest, so there every center is searched and keeps
+/// its value.
+pub fn classify_centers<S: AdjStorage, R, T>(
+    engine: &Engine<'_, S>,
+    centers: &[VertexId],
+    delta: Dist,
     cap: usize,
     last: bool,
-) -> (Vec<VertexId>, Vec<Option<T>>) {
-    let mut popular = Vec::new();
-    let mut kept = Vec::new();
-    chunk_loop(&mut |rc, result| {
+    search: impl FnOnce(&[VertexId], &mut dyn FnMut(VertexId, R)),
+    keep: impl Fn(VertexId, R) -> (usize, T),
+) -> (Vec<VertexId>, Vec<Option<T>>, usize) {
+    let skip = saturated(engine, centers, delta, cap, last);
+    let sources: Vec<VertexId> = centers
+        .iter()
+        .zip(&skip)
+        .filter(|&(_, &skipped)| !skipped)
+        .map(|(&c, _)| c)
+        .collect();
+    let mut searched = Vec::with_capacity(sources.len());
+    search(&sources, &mut |rc, result| {
         let (neighbors, value) = keep(rc, result);
         let is_popular = neighbors >= cap;
-        if is_popular {
-            popular.push(rc);
-        }
-        kept.push((last || !is_popular).then_some(value));
+        searched.push((is_popular, (last || !is_popular).then_some(value)));
     });
-    (popular, kept)
+    debug_assert_eq!(searched.len(), sources.len(), "one result per source");
+    let mut searched = searched.into_iter();
+    let mut popular = Vec::new();
+    let kept = centers
+        .iter()
+        .zip(&skip)
+        .map(|(&rc, &skipped)| {
+            let (is_popular, value) = if skipped {
+                (true, None)
+            } else {
+                searched.next().expect("one result per source")
+            };
+            if is_popular {
+                popular.push(rc);
+            }
+            value
+        })
+        .collect();
+    (popular, kept, sources.len())
+}
+
+/// Which of `centers` [`classify_centers`] marks popular without a
+/// search. With `delta < 2` only a one-vertex component is saturated, and
+/// its one center is never popular (`cap ≥ 1`), so such a phase skips
+/// nothing and never asks the engine for its components.
+fn saturated<S: AdjStorage>(
+    engine: &Engine<'_, S>,
+    centers: &[VertexId],
+    delta: Dist,
+    cap: usize,
+    last: bool,
+) -> Vec<bool> {
+    if last || delta < 2 {
+        return vec![false; centers.len()];
+    }
+    let components = engine.components();
+    let mut count = vec![0usize; components.saturation.len()];
+    for &c in centers {
+        count[components.of[c]] += 1;
+    }
+    centers
+        .iter()
+        .map(|&c| {
+            let k = components.of[c];
+            delta >= components.saturation[k] && count[k] > cap
+        })
+        .collect()
 }
 
 /// [`classify_centers`] for the path-inserting constructions (the §4
-/// spanner and the EM19 baseline): each center keeps its exploration to
-/// `delta`, from which interconnection reads whole paths.
+/// spanner and the EM19 baseline): a center that may interconnect keeps
+/// its exploration to `delta`, from which interconnection reads whole
+/// paths.
 pub fn explore_centers<S: AdjStorage>(
     engine: &Engine<'_, S>,
     centers: &[VertexId],
@@ -47,12 +109,15 @@ pub fn explore_centers<S: AdjStorage>(
     is_center: &[bool],
     cap: usize,
     last: bool,
-) -> (Vec<VertexId>, Vec<Option<Exploration>>) {
+) -> (Vec<VertexId>, Vec<Option<Exploration>>, usize) {
     classify_centers(
-        |consume| engine.for_each_exploration(centers, delta, consume),
-        |_, e: Exploration| (e.centers_found(is_center).count(), e),
+        engine,
+        centers,
+        delta,
         cap,
         last,
+        |sources, consume| engine.for_each_exploration(sources, delta, consume),
+        |_, e: Exploration| (e.centers_found(is_center).count(), e),
     )
 }
 
@@ -142,7 +207,123 @@ pub(crate) fn ruling_set_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usnae_graph::generators;
+    use usnae_graph::{bfs, generators, GraphBuilder};
+
+    /// A 10-vertex path on `0..10` beside a connected G(n, p) on `10..60`.
+    fn path_and_gnp() -> Graph {
+        let gnp = generators::gnp_connected(50, 0.08, 4).unwrap();
+        let mut b = GraphBuilder::new(60);
+        for v in 1..10 {
+            b.add_edge(v - 1, v).unwrap();
+        }
+        for (u, v) in gnp.edges() {
+            b.add_edge(10 + u, 10 + v).unwrap();
+        }
+        b.build()
+    }
+
+    /// A center's neighboring centers with their distances.
+    type Neighbors = Vec<(VertexId, Dist)>;
+
+    /// The rule without a shortcut: search from every center, and keep
+    /// each searched center's neighboring centers.
+    fn search_every_center(
+        engine: &Engine<'_>,
+        centers: &[VertexId],
+        is_center: &[bool],
+        delta: Dist,
+        cap: usize,
+        last: bool,
+    ) -> (Vec<VertexId>, Vec<Option<Neighbors>>) {
+        let mut popular = Vec::new();
+        let mut kept = Vec::new();
+        for (&c, ball) in centers.iter().zip(engine.balls(centers, delta)) {
+            let nbrs: Neighbors = ball
+                .into_iter()
+                .filter(|&(v, _)| v != c && is_center[v])
+                .collect();
+            let is_popular = nbrs.len() >= cap;
+            if is_popular {
+                popular.push(c);
+            }
+            kept.push((last || !is_popular).then_some(nbrs));
+        }
+        (popular, kept)
+    }
+
+    #[test]
+    fn classification_matches_searching_every_center() {
+        let g = path_and_gnp();
+        let engine = Engine::inproc(&g, 1);
+        // Every other path vertex and every third G(n, p) vertex.
+        let centers: Vec<VertexId> = (0..10).step_by(2).chain((10..60).step_by(3)).collect();
+        let mut is_center = vec![false; 60];
+        for &c in &centers {
+            is_center[c] = true;
+        }
+        // Per component: its centers and twice its min-id vertex's
+        // eccentricity.
+        let components = [(0..10, 0), (10..60, 10)].map(|(range, root)| {
+            let ecc = bfs::bfs(&g, root)[range.clone()]
+                .iter()
+                .map(|d| d.expect("connected component"))
+                .max()
+                .unwrap();
+            let count = centers.iter().filter(|&&c| range.contains(&c)).count();
+            (count, 2 * ecc)
+        });
+        assert_eq!(components[0], (5, 18));
+        let mut deltas = vec![1, 2];
+        let mut caps = vec![1];
+        for &(count, bound) in &components {
+            deltas.extend([bound - 1, bound]);
+            caps.extend([count - 1, count, count + 1]);
+        }
+        for &delta in &deltas {
+            for &cap in &caps {
+                for last in [false, true] {
+                    let (popular, kept, searched) = classify_centers(
+                        &engine,
+                        &centers,
+                        delta,
+                        cap,
+                        last,
+                        |sources, consume| engine.for_each_ball(sources, delta, consume),
+                        |rc, ball: Vec<(VertexId, Dist)>| {
+                            let nbrs: Neighbors = ball
+                                .into_iter()
+                                .filter(|&(v, _)| v != rc && is_center[v])
+                                .collect();
+                            (nbrs.len(), nbrs)
+                        },
+                    );
+                    let ctx = format!("delta={delta} cap={cap} last={last}");
+                    let want = search_every_center(&engine, &centers, &is_center, delta, cap, last);
+                    assert_eq!((popular, kept), want, "{ctx}");
+                    let skipped: usize = components
+                        .iter()
+                        .filter(|&&(count, bound)| !last && delta >= bound && count > cap)
+                        .map(|&(count, _)| count)
+                        .sum();
+                    assert_eq!(searched, centers.len() - skipped, "{ctx}");
+                }
+            }
+        }
+        // The edges of the rule, on the path's five centers: skipped at
+        // δ = 2·ecc(r) = 18, searched one below it or in the last phase.
+        let path_searched = |delta, last| {
+            let mut seen = 0;
+            let search = |sources: &[VertexId], consume: &mut dyn FnMut(VertexId, ())| {
+                seen = sources.iter().filter(|&&c| c < 10).count();
+                sources.iter().for_each(|&c| consume(c, ()));
+            };
+            classify_centers(&engine, &centers, delta, 4, last, search, |_, ()| (0, ()));
+            seen
+        };
+        assert_eq!(path_searched(18, false), 0);
+        assert_eq!(path_searched(17, false), 5);
+        assert_eq!(path_searched(18, true), 5);
+    }
 
     #[test]
     fn ruling_set_on_cycle() {

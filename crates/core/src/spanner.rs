@@ -179,12 +179,14 @@ fn run_phase<S: AdjStorage>(
     };
 
     // Task 1: popular detection, keeping the explorations interconnection
-    // may need for path recovery. Each exploration is a pure function of
-    // G, so the scan fans out through the engine (thread pool or worker
-    // pool) in bounded chunks, consumed in center order — the build stays
+    // may need for path recovery. Outside the last phase a center of a
+    // saturated component with more than `cap` centers is popular without
+    // a search. Every other center's exploration is a pure function of G,
+    // so the scan fans out through the engine (thread pool or worker pool)
+    // in bounded chunks, consumed in center order — the build stays
     // deterministic.
-    let (popular, explorations) = explore_centers(engine, &centers, delta, &is_center, cap, last);
-    let num_explorations = centers.len();
+    let (popular, explorations, num_explorations) =
+        explore_centers(engine, &centers, delta, &is_center, cap, last);
     phase_trace.num_popular = popular.len();
     debug_assert!(
         !last || popular.is_empty(),

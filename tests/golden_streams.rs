@@ -22,6 +22,8 @@
 mod common;
 
 use common::{fixture_graphs, golden_config, golden_fingerprint, golden_path, stream_text};
+use usnae::api::{BuildConfig, TransportKind};
+use usnae::graph::{generators, Graph, GraphBuilder};
 use usnae::registry;
 
 fn regen_requested() -> bool {
@@ -93,5 +95,82 @@ fn golden_headers_are_self_consistent() {
             let body = text.lines().filter(|l| !l.starts_with('#')).count();
             assert_eq!(records, body, "{}: record count header", path.display());
         }
+    }
+}
+
+/// Stream fingerprints of the ruling-set constructions on
+/// [`saturation_fixture`] under `raw_epsilon`, recorded when Task 1 still
+/// searched from every center.
+const SATURATION_FINGERPRINTS: [(&str, u64); 3] = [
+    ("fast-centralized", 0xc374_362d_6f94_e597),
+    ("spanner", 0xfd1c_ce09_49bc_5faf),
+    ("em19", 0x0a47_98e8_c07b_dfdf),
+];
+
+/// Two components, one saturated and one not at `raw_epsilon`'s
+/// `δ_1 = 22`. Vertices `0..3000` hold a connected G(n, p) of average
+/// degree 10, whose every ball at depth 22 is the whole component.
+/// Vertices `3000..4600` hold a 40 × 40 torus in which each vertex joins
+/// every vertex within wrapped Manhattan distance 3 (degree 24, diameter
+/// 14), so its searches stop short of the component.
+fn saturation_fixture() -> Graph {
+    const SIDE: usize = 40;
+    const BASE: usize = 3000;
+    let gnp = generators::gnp_connected(BASE, 10.0 / 2999.0, 7).expect("valid G(n, p)");
+    let mut b = GraphBuilder::new(BASE + SIDE * SIDE);
+    for (u, v) in gnp.edges() {
+        b.add_edge(u, v).expect("G(n, p) edge");
+    }
+    for r in 0..SIDE {
+        for c in 0..SIDE {
+            for dr in -3i64..=3 {
+                let reach = 3 - dr.abs();
+                for dc in -reach..=reach {
+                    if (dr, dc) == (0, 0) {
+                        continue;
+                    }
+                    let wrap = |x: usize, d: i64| (x as i64 + d).rem_euclid(SIDE as i64) as usize;
+                    let (r2, c2) = (wrap(r, dr), wrap(c, dc));
+                    b.add_edge(BASE + r * SIDE + c, BASE + r2 * SIDE + c2)
+                        .expect("torus edge");
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn saturated_and_unsaturated_components_keep_their_streams() {
+    // Phase 1 has 143 clusters: 89 in the G(n, p) component, all popular
+    // without a search, and 54 in the torus, each searched. A shortcut
+    // that skipped a torus center, or a search that ran for a G(n, p)
+    // center, moves the count; one that misclassified moves the stream.
+    let g = saturation_fixture();
+    let cfg = BuildConfig {
+        raw_epsilon: true,
+        ..Default::default()
+    };
+    let worker = BuildConfig {
+        shards: 2,
+        transport: TransportKind::Channel,
+        ..cfg.clone()
+    };
+    let (fast, fast_fingerprint) = SATURATION_FINGERPRINTS[0];
+    let legs = SATURATION_FINGERPRINTS
+        .iter()
+        .map(|&(algo, fingerprint)| (algo, fingerprint, &cfg))
+        .chain([(fast, fast_fingerprint, &worker)]);
+    for (algo, fingerprint, config) in legs {
+        let ctx = format!("{algo} ({} x{})", config.transport, config.shards);
+        let out = registry::find(algo)
+            .expect("registered construction")
+            .build(&g, config)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(out.stream_fingerprint(), fingerprint, "{ctx}: stream moved");
+        assert_eq!(
+            out.stats.phases[1].explorations, 54,
+            "{ctx}: phase-1 searches"
+        );
     }
 }

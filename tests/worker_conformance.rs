@@ -167,9 +167,9 @@ fn every_registry_algorithm_is_transport_invariant() {
 /// the frontier, key and rank messages of its exploration rounds.
 const PINNED_TRAFFIC: [(&str, &str, (u64, u64, u64)); 4] = [
     ("ring48", "centralized", (40, 82, 2_952)),
-    ("ring48", "fast-centralized", (50, 350, 12_600)),
+    ("ring48", "fast-centralized", (42, 114, 4_104)),
     ("grid8x8", "centralized", (192, 76, 2_736)),
-    ("grid8x8", "fast-centralized", (80, 254, 9_144)),
+    ("grid8x8", "fast-centralized", (66, 62, 2_232)),
 ];
 
 #[test]
