@@ -67,7 +67,7 @@ pub trait OutputBackend {
     ///
     /// Same contract as [`OutputBackend::materialize`].
     fn serve(&self) -> Result<EmStore, SnapshotError> {
-        Ok(EmStore::Heap(self.materialize()?))
+        Ok(EmStore::heap(self.materialize()?))
     }
 }
 
@@ -298,7 +298,7 @@ impl OutputBackend for MappedBackend {
     }
 
     fn serve(&self) -> Result<EmStore, SnapshotError> {
-        Ok(EmStore::Mapped(self.snap.emulator()?))
+        Ok(EmStore::mapped(self.snap.emulator()?))
     }
 }
 

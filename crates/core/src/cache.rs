@@ -49,6 +49,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 use usnae_congest::Metrics;
+use usnae_graph::dijkstra::{self, CsrWords};
 use usnae_graph::metrics::Fnv64;
 use usnae_graph::{ByteMap, Dist, Graph, StorageError, VertexId, WeightedEdge};
 
@@ -82,7 +83,7 @@ pub const SECTION_RECORDS: u64 = 3;
 /// messages).
 pub const SECTION_STATS: u64 = 4;
 /// v4 section id: the emulator's weighted adjacency as an all-`u64` CSR
-/// (the [`MappedEmulator`] Dijkstra substrate).
+/// (the words [`MappedEmulator`] runs the SSSP kernel over).
 pub const SECTION_EMU_CSR: u64 = 5;
 
 /// The five v4 sections, directory order.
@@ -611,7 +612,8 @@ fn read_transport_stats(
 /// vertex's neighbors ascending. The weight of a pair is the minimum over
 /// the stream (the emulator's lighter-parallel-edge-wins rule), so the
 /// section is a pure function of the records: decode byte-compares it
-/// against a recomputation, and [`MappedEmulator`] runs Dijkstra over it
+/// against a recomputation, and [`MappedEmulator`] runs the SSSP kernel
+/// ([`dijkstra::sssp`], which reads this layout as [`CsrWords`]) over it
 /// without ever touching the record stream.
 fn emu_csr_section(n: usize, records: &[(WeightedEdge, EdgeProvenance)]) -> Vec<u8> {
     let mut weights: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -1160,7 +1162,7 @@ impl MappedSnapshot {
         let mut r = Reader::new(&content[table.records.clone()]);
         let num_records = r.count()?;
 
-        // Structural validation of the served index, so Dijkstra over it
+        // Structural validation of the served index, so the kernel over it
         // can never read out of bounds: declared lengths consistent,
         // offsets monotone and ending at the adjacency length, every
         // neighbor id in range.
@@ -1291,7 +1293,7 @@ impl MappedSnapshot {
         Snapshot::decode(self.map.bytes()).map(|_| ())
     }
 
-    /// Converts this handle into its Dijkstra-ready [`MappedEmulator`].
+    /// Converts this handle into its kernel-ready [`MappedEmulator`].
     pub fn into_emulator(self) -> MappedEmulator {
         MappedEmulator {
             map: self.map,
@@ -1323,12 +1325,13 @@ impl MappedSnapshot {
 }
 
 /// An emulator served straight from a v4 snapshot's [`SECTION_EMU_CSR`]
-/// bytes: Dijkstra walks the mapped offset/adjacency arrays, so answering
-/// queries holds `O(n)` distance state but never the `O(m)` structure on
-/// the heap. Distances are shortest-path distances over exactly the edge
-/// set the heap [`Emulator`] holds, and shortest distances are unique —
-/// answers are byte-identical to the heap path (the out-of-core
-/// conformance suite locks this registry-wide).
+/// bytes: the SSSP kernel ([`dijkstra::sssp`]) reads the mapped
+/// offset/pair words in place, so answering queries holds `O(n)` distance
+/// state but never the `O(m)` structure on the heap. Distances are
+/// shortest-path distances over exactly the edge set the heap
+/// [`Emulator`] holds, and shortest distances are unique — answers are
+/// byte-identical to the heap path (the out-of-core conformance suite
+/// locks this registry-wide).
 #[derive(Debug)]
 pub struct MappedEmulator {
     map: ByteMap,
@@ -1368,40 +1371,33 @@ impl MappedEmulator {
         self.off(v + 1) - self.off(v)
     }
 
-    /// Neighbors of `v` with weights, ascending by neighbor id.
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Dist)> + '_ {
-        (self.off(v)..self.off(v + 1)).map(move |i| {
-            let at = self.adj_at + 16 * i;
-            (self.map.u64_at(at) as usize, self.map.u64_at(at + 8))
-        })
-    }
-
     /// Whether the underlying file is OS-mapped.
     pub fn is_mapped(&self) -> bool {
         self.map.is_mapped()
     }
 
-    /// Single-source distances in `H` — Dijkstra over the mapped CSR.
-    /// Identical output to [`Emulator::distances_from`]: shortest
+    /// Runs `f` over the section's words, borrowed from the file where
+    /// its little-endian layout is native (decoded for the call
+    /// elsewhere). Open validated them: offsets monotone, neighbors in
+    /// range.
+    pub(crate) fn with_csr<R>(&self, f: impl FnOnce(CsrWords<'_>) -> R) -> R {
+        let offsets = self
+            .map
+            .u64_words(self.offsets_at..self.offsets_at + 8 * (self.num_vertices + 1));
+        let pairs = self
+            .map
+            .u64_words(self.adj_at..self.adj_at + 32 * self.num_edges);
+        f(CsrWords {
+            offsets: &offsets,
+            pairs: &pairs,
+        })
+    }
+
+    /// Single-source distances in `H` — the SSSP kernel over the mapped
+    /// words. Identical output to [`Emulator::distances_from`]: shortest
     /// distances are unique, so the storage layout cannot change them.
     pub fn distances_from(&self, source: VertexId) -> Vec<Option<Dist>> {
-        let mut dist: Vec<Option<Dist>> = vec![None; self.num_vertices];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[source] = Some(0);
-        heap.push(std::cmp::Reverse((0, source)));
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if dist[v] != Some(d) {
-                continue;
-            }
-            for (nb, w) in self.neighbors(v) {
-                let nd = d + w;
-                if dist[nb].is_none_or(|cur| nd < cur) {
-                    dist[nb] = Some(nd);
-                    heap.push(std::cmp::Reverse((nd, nb)));
-                }
-            }
-        }
-        dist
+        self.with_csr(|csr| dijkstra::sssp(csr, source))
     }
 
     /// Distance between `u` and `v` in `H` (`None` when disconnected).
@@ -2111,6 +2107,7 @@ pub fn build_cached(
 mod tests {
     use super::*;
     use crate::api::Algorithm;
+    use crate::oracle::{EmStore, QueryEngine};
     use usnae_graph::generators;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -2390,6 +2387,37 @@ mod tests {
         for v in 0..heap.num_vertices() {
             assert_eq!(em.degree(v), heap.graph().degree(v), "degree({v})");
             assert_eq!(em.distances_from(v), heap.distances_from(v), "sssp({v})");
+        }
+        // The heap store freezes its emulator into exactly the mapped words.
+        EmStore::heap(heap).with_csr(|frozen| em.with_csr(|served| assert_eq!(frozen, served)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_stores_read_an_overflowing_path_as_unreachable() {
+        let dir = temp_dir("mapped-overflow");
+        std::fs::create_dir_all(&dir).unwrap();
+        // 0 –(1)– 1 –(u64::MAX)– 2: the path to 2 overflows `u64`.
+        let (_, mut out, key) = sample_output();
+        let prov = EdgeProvenance {
+            phase: 0,
+            kind: EdgeKind::Interconnection,
+            charged_to: 0,
+        };
+        out.emulator = Emulator::new(3);
+        out.emulator.add_edge(0, 1, 1, prov);
+        out.emulator.add_edge(1, 2, Dist::MAX, prov);
+        let path = dir.join("overflow.usnae");
+        std::fs::write(&path, Snapshot::from_output(key, &out).encode()).unwrap();
+
+        let expect = vec![Some(0), Some(1), None];
+        assert_eq!(out.emulator.distances_from(0), expect, "the reference");
+        let heap = QueryEngine::new(out.emulator, "centralized", None);
+        let mapped = MappedEmulator::open(&path).unwrap();
+        let mapped = QueryEngine::from_store(EmStore::mapped(mapped), "centralized", None);
+        for engine in [&heap, &mapped] {
+            assert_eq!(engine.store().distances_from(0), expect);
+            assert_eq!(engine.distance(0, 2).value, None);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,9 +11,14 @@
 //!   and answers distance queries with a **certified** `(α, β)` bound
 //!   threaded from the construction's proof object: every answer `d̂`
 //!   satisfies `d_G(u,v) ≤ d̂ ≤ α·d_G(u,v) + β`.
+//! * Every SSSP tree — batched, single or landmark — runs one kernel,
+//!   [`dijkstra::sssp`] (a monotone radix-heap Dijkstra), over one layout:
+//!   the all-`u64` weighted CSR of a snapshot's emulator section. A mapped
+//!   store reads those words in place; a heap store freezes its emulator
+//!   into the same words on its first tree ([`EmStore`]).
 //! * Batched queries ([`QueryEngine::distances`]) share SSSP trees across
 //!   the batch: pairs are oriented toward their most-frequent endpoint, so
-//!   `k` queries from one hub cost one Dijkstra, not `k`.
+//!   `k` queries from one hub cost one tree, not `k`.
 //! * The per-source tree cache is a **bounded, deterministic LRU**
 //!   ([`TreeCache`]): capacity is by entries, eviction is oldest-recently-
 //!   used first, and iteration order is defined (LRU → MRU) — a many-source
@@ -39,6 +44,8 @@ use crate::error::ParamError;
 use crate::params::CentralizedParams;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::OnceLock;
+use usnae_graph::dijkstra::{self, CsrWords, FrozenCsr};
 use usnae_graph::{Dist, Graph, VertexId};
 
 /// A query answer carrying the certified stretch bound it was served
@@ -162,6 +169,17 @@ impl TreeCache {
             return;
         }
         self.order.push_back(source);
+        self.evict_to_capacity();
+    }
+
+    /// Sets the retention bound (min 1), evicting least-recently-used
+    /// entries at once if the new bound is tighter.
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
+        self.evict_to_capacity();
+    }
+
+    fn evict_to_capacity(&mut self) {
         while self.trees.len() > self.capacity {
             let victim = self.order.pop_front().expect("order tracks every entry");
             self.trees.remove(&victim);
@@ -175,63 +193,91 @@ impl TreeCache {
 /// snapshot file ([`MappedEmulator`]), which is how
 /// [`QueryEngine::open`] over a
 /// [`MappedBackend`](crate::api::MappedBackend) answers certified queries
-/// without ever materializing the structure. Both stores answer every
-/// query identically — shortest distances are unique, so the storage
-/// layout cannot change an answer.
+/// without ever materializing the structure.
+///
+/// Both stores run one SSSP kernel ([`dijkstra::sssp`]) over one layout,
+/// the all-`u64` weighted CSR of the snapshot's emulator section: the
+/// mapped store reads the file's words in place, and the heap store
+/// freezes its emulator into the same words ([`FrozenCsr`]) on its first
+/// tree. Shortest distances are unique, so the store cannot change an
+/// answer.
 #[derive(Debug)]
-pub enum EmStore {
-    /// A live in-memory emulator.
-    Heap(Emulator),
-    /// A served v4 snapshot (Dijkstra over the mapped CSR section).
+pub struct EmStore(Store);
+
+/// The two stores; a heap store's lock holds its emulator's words once
+/// the first tree froze them.
+#[derive(Debug)]
+enum Store {
+    Heap(Emulator, OnceLock<FrozenCsr>),
     Mapped(MappedEmulator),
 }
 
 impl EmStore {
+    /// A live in-memory emulator, frozen on its first tree.
+    pub fn heap(emulator: Emulator) -> Self {
+        EmStore(Store::Heap(emulator, OnceLock::new()))
+    }
+
+    /// A served v4 snapshot (the kernel over the mapped CSR section).
+    pub fn mapped(emulator: MappedEmulator) -> Self {
+        EmStore(Store::Mapped(emulator))
+    }
+
     /// Vertex count of the structure.
     pub fn num_vertices(&self) -> usize {
-        match self {
-            EmStore::Heap(h) => h.num_vertices(),
-            EmStore::Mapped(m) => m.num_vertices(),
+        match &self.0 {
+            Store::Heap(h, _) => h.num_vertices(),
+            Store::Mapped(m) => m.num_vertices(),
         }
     }
 
     /// Distinct-edge count of the structure.
     pub fn num_edges(&self) -> usize {
-        match self {
-            EmStore::Heap(h) => h.num_edges(),
-            EmStore::Mapped(m) => m.num_edges(),
+        match &self.0 {
+            Store::Heap(h, _) => h.num_edges(),
+            Store::Mapped(m) => m.num_edges(),
         }
     }
 
     /// Degree of `v` (distinct neighbors — identical across stores).
     pub fn degree(&self, v: VertexId) -> usize {
-        match self {
-            EmStore::Heap(h) => h.graph().degree(v),
-            EmStore::Mapped(m) => m.degree(v),
+        match &self.0 {
+            Store::Heap(h, _) => h.graph().degree(v),
+            Store::Mapped(m) => m.degree(v),
         }
     }
 
-    /// Single-source distances in `H`.
-    pub fn distances_from(&self, source: VertexId) -> Vec<Option<Dist>> {
-        match self {
-            EmStore::Heap(h) => h.distances_from(source),
-            EmStore::Mapped(m) => m.distances_from(source),
+    /// Runs `f` over the words the kernel reads: the mapped section, or
+    /// the heap emulator frozen on first use (`O(m)`, once per store).
+    pub(crate) fn with_csr<R>(&self, f: impl FnOnce(CsrWords<'_>) -> R) -> R {
+        match &self.0 {
+            Store::Heap(h, frozen) => {
+                f(frozen.get_or_init(|| FrozenCsr::freeze(h.graph())).words())
+            }
+            Store::Mapped(m) => m.with_csr(f),
         }
+    }
+
+    /// Single-source distances in `H` — the one SSSP kernel, behind every
+    /// batched, single and landmark tree of an engine.
+    pub fn distances_from(&self, source: VertexId) -> Vec<Option<Dist>> {
+        self.with_csr(|csr| dijkstra::sssp(csr, source))
     }
 
     /// The live emulator, when this store holds one on the heap.
     pub fn as_heap(&self) -> Option<&Emulator> {
-        match self {
-            EmStore::Heap(h) => Some(h),
-            EmStore::Mapped(_) => None,
+        match &self.0 {
+            Store::Heap(h, _) => Some(h),
+            Store::Mapped(_) => None,
         }
     }
 }
 
 /// Deterministic landmark index over an emulator: `k` landmarks chosen
 /// highest-degree-first (ties broken by ascending vertex id — the seeded,
-/// reproducible tie-break), one precomputed SSSP tree each, and the
-/// measured covering radius `R = max_v min_L d_H(L, v)`.
+/// reproducible tie-break), one precomputed SSSP tree each (the store's
+/// one kernel, so a heap store is frozen by the first landmark tree), and
+/// the measured covering radius `R = max_v min_L d_H(L, v)`.
 ///
 /// An approximate answer `min_L d_H(u,L) + d_H(L,v)` routes through the
 /// best landmark in `O(k)` time; the triangle inequality certifies
@@ -250,8 +296,8 @@ pub struct LandmarkIndex {
 impl LandmarkIndex {
     /// Builds the index over either store: picks `min(k, n)` landmarks by
     /// descending emulator degree (ascending id on ties) and runs one
-    /// Dijkstra each. Degrees and distances are identical across stores,
-    /// so so is the index.
+    /// kernel tree each. Degrees and distances are identical across
+    /// stores, so so is the index.
     pub(crate) fn build_store(store: &EmStore, k: usize) -> Self {
         let n = store.num_vertices();
         let mut by_degree: Vec<VertexId> = (0..n).collect();
@@ -371,7 +417,7 @@ impl QueryEngine {
         algorithm: impl Into<String>,
         certified: Option<(f64, f64)>,
     ) -> Self {
-        QueryEngine::from_store(EmStore::Heap(emulator), algorithm, certified)
+        QueryEngine::from_store(EmStore::heap(emulator), algorithm, certified)
     }
 
     /// An engine over either store — how [`open`](Self::open) serves a
@@ -423,16 +469,7 @@ impl QueryEngine {
 
     /// Sets how many SSSP trees the LRU cache retains (min 1).
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.cache.borrow_mut().capacity = capacity.max(1);
-        {
-            // Shrink immediately if the new bound is tighter.
-            let mut cache = self.cache.borrow_mut();
-            while cache.trees.len() > cache.capacity {
-                let victim = cache.order.pop_front().expect("order tracks entries");
-                cache.trees.remove(&victim);
-                cache.evictions += 1;
-            }
-        }
+        self.cache.borrow_mut().set_capacity(capacity);
         self
     }
 
@@ -522,8 +559,8 @@ impl QueryEngine {
 
     /// Approximate distance between `u` and `v` under the certified pair.
     ///
-    /// The first query from a source runs one Dijkstra on the emulator and
-    /// caches the tree (bounded LRU); later queries from `u` *or toward* a
+    /// The first query from a source runs one kernel tree on the emulator
+    /// and caches it (bounded LRU); later queries from `u` *or toward* a
     /// cached source are lookups.
     pub fn distance(&self, u: VertexId, v: VertexId) -> Certified<Option<Dist>> {
         self.queries.set(self.queries.get() + 1);
@@ -553,7 +590,9 @@ impl QueryEngine {
     /// Pairs answered by an already-cached endpoint cost a lookup; the
     /// rest are oriented toward their most-frequent endpoint in the batch
     /// (ties toward the smaller id), grouped, and each distinct source
-    /// costs exactly one Dijkstra. Answers are identical to issuing the
+    /// costs exactly one tree of the store's one kernel
+    /// ([`EmStore::distances_from`]; a heap store's first tree also
+    /// freezes it, `O(m)` once). Answers are identical to issuing the
     /// queries one by one — shortest distances are unique.
     pub fn distances(&self, pairs: &[(VertexId, VertexId)]) -> Vec<Certified<Option<Dist>>> {
         self.queries.set(self.queries.get() + pairs.len() as u64);
@@ -595,7 +634,7 @@ impl QueryEngine {
             }
         }
 
-        // Pass 2: one Dijkstra per distinct remaining source, ascending
+        // Pass 2: one tree per distinct remaining source, ascending
         // source id (deterministic tree-build and eviction order).
         for (source, targets) in pending {
             let tree = self.sssp_tree(source);

@@ -21,6 +21,7 @@
 
 use crate::graph::VertexId;
 use crate::metrics::Fnv64;
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -329,6 +330,35 @@ impl ByteMap {
     pub fn u64_at(&self, at: usize) -> u64 {
         let b = &self.bytes()[at..at + 8];
         u64::from_le_bytes(b.try_into().unwrap())
+    }
+
+    /// The little-endian `u64` array at byte range `at` (8-aligned, a
+    /// multiple of 8 long) as native words: borrowed straight from the
+    /// file on little-endian targets, decoded into a copy elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is out of bounds or not 8-aligned.
+    pub fn u64_words(&self, at: std::ops::Range<usize>) -> Cow<'_, [u64]> {
+        let bytes = &self.bytes()[at];
+        assert!(
+            bytes.len().is_multiple_of(8) && (bytes.as_ptr() as usize).is_multiple_of(8),
+            "u64 word range must be 8-aligned"
+        );
+        if cfg!(target_endian = "little") {
+            // SAFETY: alignment and length checked above; a little-endian
+            // u64 is the native layout here.
+            Cow::Borrowed(unsafe {
+                std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8)
+            })
+        } else {
+            Cow::Owned(
+                bytes
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                    .collect(),
+            )
+        }
     }
 }
 

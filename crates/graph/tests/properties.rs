@@ -4,7 +4,7 @@
 
 use usnae_graph::bfs::{bfs, bfs_bounded, multi_source_bfs};
 use usnae_graph::connectivity::{components, connect_components, is_connected};
-use usnae_graph::dijkstra::{dijkstra, distance};
+use usnae_graph::dijkstra::{dijkstra, distance, sssp, FrozenCsr};
 use usnae_graph::rng::Rng;
 use usnae_graph::union_find::UnionFind;
 use usnae_graph::{generators, Graph, GraphBuilder, WeightedGraph};
@@ -74,13 +74,64 @@ fn bfs_is_a_metric_tree() {
     }
 }
 
-/// Dijkstra on a unit-weight mirror equals BFS.
+/// Dijkstra and the SSSP kernel on a unit-weight mirror equal BFS.
 #[test]
 fn dijkstra_equals_bfs_on_unit_weights() {
     for seed in 0..CASES {
         let g = random_graph(seed);
         let h = WeightedGraph::from_unit_graph(&g);
         assert_eq!(bfs(&g, 0), dijkstra(&h, 0), "seed {seed}");
+        assert_eq!(
+            bfs(&g, 0),
+            sssp(FrozenCsr::freeze(&h).words(), 0),
+            "seed {seed}"
+        );
+    }
+}
+
+/// A random weighted graph from the sweep seed: several components
+/// (edges stay inside blocks of vertices), isolated vertices past the
+/// blocks, zero weights, and — on odd seeds — weights within a few units
+/// of `u64::MAX` and of `u64::MAX / 2`, whose paths overflow or just fit.
+fn random_weighted_graph(seed: u64) -> WeightedGraph {
+    let mut rng = Rng::seed_from_u64(seed);
+    let n = rng.gen_range(2, 60);
+    let blocks = rng.gen_range(1, 5);
+    let block = n.div_ceil(blocks);
+    let mut h = WeightedGraph::new(n + rng.gen_range(0, 4));
+    for _ in 0..rng.gen_range(0, 200) {
+        let base = rng.gen_range(0, blocks) * block;
+        let u = base + rng.gen_range(0, block);
+        let v = base + rng.gen_range(0, block);
+        if u == v || v >= n || u >= n {
+            continue;
+        }
+        let w = match rng.gen_range(0, 8) {
+            0 => 0,
+            1 if seed % 2 == 1 => u64::MAX - rng.gen_range(0, 4) as u64,
+            2 if seed % 2 == 1 => u64::MAX / 2 + rng.gen_range(0, 4) as u64,
+            _ => rng.gen_range(1, 6) as u64,
+        };
+        h.add_edge(u, v, w);
+    }
+    h
+}
+
+/// The SSSP kernel equals the reference Dijkstra from every source, on
+/// zero weights, overflowing weights, isolated vertices and several
+/// components.
+#[test]
+fn sssp_kernel_equals_dijkstra_on_weighted_graphs() {
+    for seed in 0..CASES {
+        let h = random_weighted_graph(seed);
+        let csr = FrozenCsr::freeze(&h);
+        for s in 0..h.num_vertices() {
+            assert_eq!(
+                sssp(csr.words(), s),
+                dijkstra(&h, s),
+                "seed {seed} source {s}"
+            );
+        }
     }
 }
 
