@@ -96,7 +96,8 @@ fn run_phase(
     }
 
     // Task 1: outside the last phase a center of a saturated component
-    // with more than `cap` centers is popular without a search. The other
+    // with more than `cap` centers is popular without a search, and a
+    // center alone in its component is unpopular without one. The other
     // centers' scans are pure per-center BFS — sharded, run in bounded
     // chunks and consumed in center order (deterministic for every thread
     // count and transport); only explorations interconnection may need

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant, SystemTime};
 use usnae_congest::Metrics;
 use usnae_graph::dijkstra::{self, CsrWords};
 use usnae_graph::metrics::Fnv64;
-use usnae_graph::{ByteMap, Dist, Graph, StorageError, VertexId, WeightedEdge};
+use usnae_graph::{ByteMap, Dist, Graph, StorageError, VertexId, WeightedEdge, WeightedGraph};
 
 /// Snapshot file magic: identifies the format before any parsing.
 pub const MAGIC: &[u8; 8] = b"USNAESNP";
@@ -609,50 +609,25 @@ fn read_transport_stats(
 /// Serializes the emulator adjacency implied by `records` as an all-`u64`
 /// weighted CSR: `n`, `m` (distinct undirected edges), `adj_len = 2m`, the
 /// `(n+1)`-entry offset array, then `(neighbor, weight)` pairs with every
-/// vertex's neighbors ascending. The weight of a pair is the minimum over
-/// the stream (the emulator's lighter-parallel-edge-wins rule), so the
-/// section is a pure function of the records: decode byte-compares it
-/// against a recomputation, and [`MappedEmulator`] runs the SSSP kernel
+/// vertex's neighbors ascending. The words are the replayed emulator's
+/// own [`WeightedGraph::csr`] — the builder the heap query store reads —
+/// so a pair keeps its lightest weight over the stream and the section is
+/// a pure function of the records: decode byte-compares it against a
+/// recomputation, and [`MappedEmulator`] runs the SSSP kernel
 /// ([`dijkstra::sssp`], which reads this layout as [`CsrWords`]) over it
 /// without ever touching the record stream.
 fn emu_csr_section(n: usize, records: &[(WeightedEdge, EdgeProvenance)]) -> Vec<u8> {
-    let mut weights: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    let mut h = WeightedGraph::new(n);
     for (e, _) in records {
-        let w = weights.entry((e.u, e.v)).or_insert(e.weight);
-        if e.weight < *w {
-            *w = e.weight;
-        }
+        h.add_edge(e.u, e.v, e.weight);
     }
-    let mut offsets = vec![0u64; n + 1];
-    for &(u, v) in weights.keys() {
-        offsets[u + 1] += 1;
-        offsets[v + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    let adj_len = offsets[n] as usize;
-    // Pairs iterate in ascending (u, v) order with u < v, so each row
-    // receives first its smaller neighbors (ascending u) and then its
-    // larger ones (ascending v) — sorted without an explicit sort.
-    let mut adj = vec![(0u64, 0u64); adj_len];
-    let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
-    for (&(u, v), &wt) in &weights {
-        adj[cursor[u]] = (v as u64, wt);
-        cursor[u] += 1;
-        adj[cursor[v]] = (u as u64, wt);
-        cursor[v] += 1;
-    }
+    let csr = h.csr();
     let mut w = Writer::new();
     w.u64(n as u64);
-    w.u64(weights.len() as u64);
-    w.u64(adj_len as u64);
-    for o in &offsets {
-        w.u64(*o);
-    }
-    for (nb, wt) in adj {
-        w.u64(nb);
-        w.u64(wt);
+    w.u64(h.num_edges() as u64);
+    w.u64(csr.pairs.len() as u64 / 2);
+    for &word in csr.offsets.iter().chain(csr.pairs) {
+        w.u64(word);
     }
     w.buf
 }
@@ -768,6 +743,11 @@ impl Snapshot {
     /// Serializes to the version-4 wire format: section directory, five
     /// 8-aligned sections, trailing FNV-64 checksum over everything before
     /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record is a self-loop or has an endpoint
+    /// `≥ num_vertices`: no emulator holds one, and no decodable snapshot.
     pub fn encode(&self) -> Vec<u8> {
         self.encode_version(VERSION)
     }
@@ -1366,7 +1346,7 @@ impl MappedEmulator {
     }
 
     /// Degree of `v` in the emulator (distinct neighbors — the same count
-    /// the heap emulator's adjacency map reports).
+    /// the heap emulator's CSR reports).
     pub fn degree(&self, v: VertexId) -> usize {
         self.off(v + 1) - self.off(v)
     }
@@ -2388,8 +2368,8 @@ mod tests {
             assert_eq!(em.degree(v), heap.graph().degree(v), "degree({v})");
             assert_eq!(em.distances_from(v), heap.distances_from(v), "sssp({v})");
         }
-        // The heap store freezes its emulator into exactly the mapped words.
-        EmStore::heap(heap).with_csr(|frozen| em.with_csr(|served| assert_eq!(frozen, served)));
+        // The heap store reads exactly the mapped words.
+        EmStore::heap(heap).with_csr(|built| em.with_csr(|served| assert_eq!(built, served)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,6 +5,11 @@
 //! edge (the three arrows of the paper's Figures 1, 2 and 4), and which
 //! vertex it was *charged* to — the raw material of the Lemma 2.4 size
 //! argument, re-checked at runtime by [`charging`](crate::charging).
+//!
+//! The graph is a [`WeightedGraph`]: an insertion is one probe of its pair
+//! table, and every adjacency read goes through the CSR it builds on the
+//! first read after an insertion — the words the snapshot codec writes
+//! and the query engine's SSSP kernel runs over.
 
 use usnae_graph::dijkstra;
 use usnae_graph::{Dist, VertexId, WeightedEdge, WeightedGraph};
@@ -175,12 +180,15 @@ impl Emulator {
     }
 
     /// Distance in `H` alone (no `G` edges): the emulator must certify its
-    /// stretch by itself.
+    /// stretch by itself. Runs the reference Dijkstra
+    /// ([`dijkstra::distance`]).
     pub fn distance(&self, u: VertexId, v: VertexId) -> Option<Dist> {
         dijkstra::distance(&self.graph, u, v)
     }
 
-    /// Single-source distances in `H`.
+    /// Single-source distances in `H`, by the reference Dijkstra
+    /// ([`dijkstra::dijkstra`]) that the query engine's kernel is tested
+    /// against.
     pub fn distances_from(&self, u: VertexId) -> Vec<Option<Dist>> {
         dijkstra::dijkstra(&self.graph, u)
     }

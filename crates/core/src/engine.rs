@@ -27,7 +27,9 @@
 //! last phase a center needs no search when its component is saturated
 //! (every ball in it is the whole component, by a bound the engine
 //! learns once per build from one BFS per component) and holds more
-//! than `cap` centers: [`sai::classify_centers`] applies that rule.
+//! than `cap` centers, and in every phase none when it is the only
+//! center of its component: [`sai::classify_centers`] applies both
+//! rules.
 //!
 //! Worker failures never corrupt a build: on the first transport error the
 //! engine stashes the typed [`WorkerError`], drops the pool, finishes the

@@ -159,12 +159,13 @@ fn run_phase<S: AdjStorage>(
 
     // Task 1: popular-cluster detection. Outside the last phase a center
     // of a saturated component (every ball in it is the whole component)
-    // with more than `cap` centers is popular without a search; every
-    // other center runs one pure bounded BFS, fanned out through the
-    // engine (local CSR shards or a worker pool when partitioned) in
-    // bounded chunks, consumed in center order. An unpopular center (in
-    // the last phase, every center) keeps its neighboring centers,
-    // ascending by vertex id.
+    // with more than `cap` centers is popular without a search, and in
+    // every phase a center alone in its component is unpopular without
+    // one; every other center runs one pure bounded BFS, fanned out
+    // through the engine (local CSR shards or a worker pool when
+    // partitioned) in bounded chunks, consumed in center order. An
+    // unpopular center (in the last phase, every center) keeps its
+    // neighboring centers, ascending by vertex id.
     let (popular, neighbor_lists, explorations) = classify_centers(
         engine,
         &centers,
@@ -172,11 +173,13 @@ fn run_phase<S: AdjStorage>(
         cap,
         last,
         |sources, consume| engine.for_each_ball(sources, delta, consume),
-        |rc, ball: Vec<(VertexId, Dist)>| {
+        |rc, ball: Option<Vec<(VertexId, Dist)>>| {
             // Collected from a borrowing iterator, so the short list gets
-            // a fresh buffer instead of keeping the whole ball's alive.
+            // a fresh buffer instead of keeping the whole ball's alive. A
+            // center alone in its component has no ball and no neighbors.
             let nbrs: Vec<(VertexId, Dist)> = ball
                 .iter()
+                .flatten()
                 .copied()
                 .filter(|&(v, _)| v != rc && is_center[v])
                 .collect();

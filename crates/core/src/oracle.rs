@@ -14,8 +14,8 @@
 //! * Every SSSP tree — batched, single or landmark — runs one kernel,
 //!   [`dijkstra::sssp`] (a monotone radix-heap Dijkstra), over one layout:
 //!   the all-`u64` weighted CSR of a snapshot's emulator section. A mapped
-//!   store reads those words in place; a heap store freezes its emulator
-//!   into the same words on its first tree ([`EmStore`]).
+//!   store reads those words in place; a heap store reads its emulator's
+//!   own CSR, the same words ([`EmStore`]).
 //! * Batched queries ([`QueryEngine::distances`]) share SSSP trees across
 //!   the batch: pairs are oriented toward their most-frequent endpoint, so
 //!   `k` queries from one hub cost one tree, not `k`.
@@ -44,8 +44,7 @@ use crate::error::ParamError;
 use crate::params::CentralizedParams;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::OnceLock;
-use usnae_graph::dijkstra::{self, CsrWords, FrozenCsr};
+use usnae_graph::dijkstra::{self, CsrWords};
 use usnae_graph::{Dist, Graph, VertexId};
 
 /// A query answer carrying the certified stretch bound it was served
@@ -197,25 +196,25 @@ impl TreeCache {
 ///
 /// Both stores run one SSSP kernel ([`dijkstra::sssp`]) over one layout,
 /// the all-`u64` weighted CSR of the snapshot's emulator section: the
-/// mapped store reads the file's words in place, and the heap store
-/// freezes its emulator into the same words ([`FrozenCsr`]) on its first
-/// tree. Shortest distances are unique, so the store cannot change an
-/// answer.
+/// mapped store reads the file's words in place, and the heap store reads
+/// its emulator's own CSR
+/// ([`WeightedGraph::csr`](usnae_graph::WeightedGraph::csr)), built by the
+/// same builder that writes the section. Shortest distances are unique, so
+/// the store cannot change an answer.
 #[derive(Debug)]
 pub struct EmStore(Store);
 
-/// The two stores; a heap store's lock holds its emulator's words once
-/// the first tree froze them.
+/// The two stores.
 #[derive(Debug)]
 enum Store {
-    Heap(Emulator, OnceLock<FrozenCsr>),
+    Heap(Emulator),
     Mapped(MappedEmulator),
 }
 
 impl EmStore {
-    /// A live in-memory emulator, frozen on its first tree.
+    /// A live in-memory emulator.
     pub fn heap(emulator: Emulator) -> Self {
-        EmStore(Store::Heap(emulator, OnceLock::new()))
+        EmStore(Store::Heap(emulator))
     }
 
     /// A served v4 snapshot (the kernel over the mapped CSR section).
@@ -226,7 +225,7 @@ impl EmStore {
     /// Vertex count of the structure.
     pub fn num_vertices(&self) -> usize {
         match &self.0 {
-            Store::Heap(h, _) => h.num_vertices(),
+            Store::Heap(h) => h.num_vertices(),
             Store::Mapped(m) => m.num_vertices(),
         }
     }
@@ -234,7 +233,7 @@ impl EmStore {
     /// Distinct-edge count of the structure.
     pub fn num_edges(&self) -> usize {
         match &self.0 {
-            Store::Heap(h, _) => h.num_edges(),
+            Store::Heap(h) => h.num_edges(),
             Store::Mapped(m) => m.num_edges(),
         }
     }
@@ -242,18 +241,16 @@ impl EmStore {
     /// Degree of `v` (distinct neighbors — identical across stores).
     pub fn degree(&self, v: VertexId) -> usize {
         match &self.0 {
-            Store::Heap(h, _) => h.graph().degree(v),
+            Store::Heap(h) => h.graph().degree(v),
             Store::Mapped(m) => m.degree(v),
         }
     }
 
     /// Runs `f` over the words the kernel reads: the mapped section, or
-    /// the heap emulator frozen on first use (`O(m)`, once per store).
+    /// the heap emulator's CSR (built on its first read).
     pub(crate) fn with_csr<R>(&self, f: impl FnOnce(CsrWords<'_>) -> R) -> R {
         match &self.0 {
-            Store::Heap(h, frozen) => {
-                f(frozen.get_or_init(|| FrozenCsr::freeze(h.graph())).words())
-            }
+            Store::Heap(h) => f(h.graph().csr()),
             Store::Mapped(m) => m.with_csr(f),
         }
     }
@@ -267,7 +264,7 @@ impl EmStore {
     /// The live emulator, when this store holds one on the heap.
     pub fn as_heap(&self) -> Option<&Emulator> {
         match &self.0 {
-            Store::Heap(h, _) => Some(h),
+            Store::Heap(h) => Some(h),
             Store::Mapped(_) => None,
         }
     }
@@ -276,8 +273,7 @@ impl EmStore {
 /// Deterministic landmark index over an emulator: `k` landmarks chosen
 /// highest-degree-first (ties broken by ascending vertex id — the seeded,
 /// reproducible tie-break), one precomputed SSSP tree each (the store's
-/// one kernel, so a heap store is frozen by the first landmark tree), and
-/// the measured covering radius `R = max_v min_L d_H(L, v)`.
+/// one kernel), and the measured covering radius `R = max_v min_L d_H(L, v)`.
 ///
 /// An approximate answer `min_L d_H(u,L) + d_H(L,v)` routes through the
 /// best landmark in `O(k)` time; the triangle inequality certifies
@@ -591,9 +587,10 @@ impl QueryEngine {
     /// rest are oriented toward their most-frequent endpoint in the batch
     /// (ties toward the smaller id), grouped, and each distinct source
     /// costs exactly one tree of the store's one kernel
-    /// ([`EmStore::distances_from`]; a heap store's first tree also
-    /// freezes it, `O(m)` once). Answers are identical to issuing the
-    /// queries one by one — shortest distances are unique.
+    /// ([`EmStore::distances_from`]; a heap store's first read also
+    /// builds its emulator's CSR, `O(m log Δ)` once). Answers are
+    /// identical to issuing the queries one by one — shortest distances
+    /// are unique.
     pub fn distances(&self, pairs: &[(VertexId, VertexId)]) -> Vec<Certified<Option<Dist>>> {
         self.queries.set(self.queries.get() + pairs.len() as u64);
         let mut answers: Vec<Option<Certified<Option<Dist>>>> = vec![None; pairs.len()];

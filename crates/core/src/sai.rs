@@ -10,23 +10,30 @@ use usnae_graph::{AdjStorage, Dist, Graph, VertexId};
 /// least `cap` neighboring centers within `delta`) or not, searching only
 /// the centers whose class is not already known.
 ///
-/// Outside the last phase a center is popular without a search when its
-/// component is saturated at `delta` (`delta ≥ 2·ecc(r)` for the
-/// component's min-id vertex `r`, so the search would settle the whole
-/// component) and holds more than `cap` centers (so the search would find
-/// at least `cap` others). Every other center goes through `search`, which
-/// runs one of the engine's chunk loops over the given sources, handing
-/// each source and its search result to the callback in source order;
-/// `keep` maps a result to its number of neighboring centers and the value
-/// interconnection may need.
+/// Two rules settle a center without a search, both read off the
+/// engine's components, which a phase with `delta < 2` never asks for:
+///
+/// * Outside the last phase a center is popular when its component is
+///   saturated at `delta` (`delta ≥ 2·ecc(r)` for the component's min-id
+///   vertex `r`, so the search would settle the whole component) and
+///   holds more than `cap` centers (so the search would find at least
+///   `cap` others).
+/// * In every phase a center alone in its component is classified as if
+///   its search had found no other center, which is all it could find.
+///
+/// Every other center goes through `search`, which runs one of the
+/// engine's chunk loops over the given sources, handing each source and
+/// its search result to the callback in source order. `keep` maps a
+/// center's result (`None` for a center alone in its component) to its
+/// number of neighboring centers and the value interconnection may need.
 ///
 /// Returns the popular centers, per center the kept value, and the number
 /// of centers searched. Outside the last phase a popular center keeps
 /// none: the ruling set dominates it within `2δ_i`, and the ruling forest
 /// grows to depth `rul_i + δ_i ≥ 2δ_i` (as `ρ ≤ 1/2`), so it is always
-/// superclustered. That is also why a skipped center loses nothing. The
-/// last phase grows no forest, so there every center is searched and keeps
-/// its value.
+/// superclustered. That is also why a saturated center loses nothing by
+/// its skipped search. The last phase grows no forest, so there every
+/// center keeps its value.
 pub fn classify_centers<S: AdjStorage, R, T>(
     engine: &Engine<'_, S>,
     centers: &[VertexId],
@@ -34,32 +41,35 @@ pub fn classify_centers<S: AdjStorage, R, T>(
     cap: usize,
     last: bool,
     search: impl FnOnce(&[VertexId], &mut dyn FnMut(VertexId, R)),
-    keep: impl Fn(VertexId, R) -> (usize, T),
+    keep: impl Fn(VertexId, Option<R>) -> (usize, T),
 ) -> (Vec<VertexId>, Vec<Option<T>>, usize) {
-    let skip = saturated(engine, centers, delta, cap, last);
+    let known = known_classes(engine, centers, delta, cap, last);
     let sources: Vec<VertexId> = centers
         .iter()
-        .zip(&skip)
-        .filter(|&(_, &skipped)| !skipped)
+        .zip(&known)
+        .filter(|(_, class)| class.is_none())
         .map(|(&c, _)| c)
         .collect();
-    let mut searched = Vec::with_capacity(sources.len());
-    search(&sources, &mut |rc, result| {
+    let classify = |rc, result| {
         let (neighbors, value) = keep(rc, result);
         let is_popular = neighbors >= cap;
-        searched.push((is_popular, (last || !is_popular).then_some(value)));
+        (is_popular, (last || !is_popular).then_some(value))
+    };
+    let mut searched = Vec::with_capacity(sources.len());
+    search(&sources, &mut |rc, result| {
+        searched.push(classify(rc, Some(result)));
     });
     debug_assert_eq!(searched.len(), sources.len(), "one result per source");
     let mut searched = searched.into_iter();
     let mut popular = Vec::new();
     let kept = centers
         .iter()
-        .zip(&skip)
-        .map(|(&rc, &skipped)| {
-            let (is_popular, value) = if skipped {
-                (true, None)
-            } else {
-                searched.next().expect("one result per source")
+        .zip(&known)
+        .map(|(&rc, class)| {
+            let (is_popular, value) = match class {
+                None => searched.next().expect("one result per source"),
+                Some(Known::Saturated) => (true, None),
+                Some(Known::Alone) => classify(rc, None),
             };
             if is_popular {
                 popular.push(rc);
@@ -70,19 +80,29 @@ pub fn classify_centers<S: AdjStorage, R, T>(
     (popular, kept, sources.len())
 }
 
-/// Which of `centers` [`classify_centers`] marks popular without a
-/// search. With `delta < 2` only a one-vertex component is saturated, and
-/// its one center is never popular (`cap ≥ 1`), so such a phase skips
-/// nothing and never asks the engine for its components.
-fn saturated<S: AdjStorage>(
+/// A center [`classify_centers`] classifies without a search.
+#[derive(Debug, Clone, Copy)]
+enum Known {
+    /// Popular: its component is saturated and holds more than `cap`
+    /// centers (outside the last phase).
+    Saturated,
+    /// The only center of its component.
+    Alone,
+}
+
+/// Which of `centers` [`classify_centers`] classifies without a search,
+/// and by which rule. With `delta < 2` the phase skips nothing and never
+/// asks the engine for its components: there only a one-vertex component
+/// is saturated, and a search from a lone center reads one row.
+fn known_classes<S: AdjStorage>(
     engine: &Engine<'_, S>,
     centers: &[VertexId],
     delta: Dist,
     cap: usize,
     last: bool,
-) -> Vec<bool> {
-    if last || delta < 2 {
-        return vec![false; centers.len()];
+) -> Vec<Option<Known>> {
+    if delta < 2 {
+        return vec![None; centers.len()];
     }
     let components = engine.components();
     let mut count = vec![0usize; components.saturation.len()];
@@ -93,7 +113,13 @@ fn saturated<S: AdjStorage>(
         .iter()
         .map(|&c| {
             let k = components.of[c];
-            delta >= components.saturation[k] && count[k] > cap
+            if count[k] == 1 {
+                Some(Known::Alone)
+            } else if !last && delta >= components.saturation[k] && count[k] > cap {
+                Some(Known::Saturated)
+            } else {
+                None
+            }
         })
         .collect()
 }
@@ -117,7 +143,12 @@ pub fn explore_centers<S: AdjStorage>(
         cap,
         last,
         |sources, consume| engine.for_each_exploration(sources, delta, consume),
-        |_, e: Exploration| (e.centers_found(is_center).count(), e),
+        |rc, e: Option<Exploration>| {
+            let e = e.unwrap_or_else(|| Exploration {
+                settled: vec![(rc, 0, None)],
+            });
+            (e.centers_found(is_center).count(), e)
+        },
     )
 }
 
@@ -209,11 +240,12 @@ mod tests {
     use super::*;
     use usnae_graph::{bfs, generators, GraphBuilder};
 
-    /// A 10-vertex path on `0..10` beside a connected G(n, p) on `10..60`.
-    fn path_and_gnp() -> Graph {
+    /// A 10-vertex path on `0..10` beside a connected G(n, p) on `10..60`
+    /// and a 4-vertex path on `60..64`.
+    fn paths_and_gnp() -> Graph {
         let gnp = generators::gnp_connected(50, 0.08, 4).unwrap();
-        let mut b = GraphBuilder::new(60);
-        for v in 1..10 {
+        let mut b = GraphBuilder::new(64);
+        for v in (1..10).chain(61..64) {
             b.add_edge(v - 1, v).unwrap();
         }
         for (u, v) in gnp.edges() {
@@ -253,17 +285,22 @@ mod tests {
 
     #[test]
     fn classification_matches_searching_every_center() {
-        let g = path_and_gnp();
+        let g = paths_and_gnp();
         let engine = Engine::inproc(&g, 1);
-        // Every other path vertex and every third G(n, p) vertex.
-        let centers: Vec<VertexId> = (0..10).step_by(2).chain((10..60).step_by(3)).collect();
-        let mut is_center = vec![false; 60];
+        // Every other vertex of the long path, every third G(n, p) vertex
+        // and one vertex of the short path, alone in its component.
+        let centers: Vec<VertexId> = (0..10)
+            .step_by(2)
+            .chain((10..60).step_by(3))
+            .chain([61])
+            .collect();
+        let mut is_center = vec![false; 64];
         for &c in &centers {
             is_center[c] = true;
         }
         // Per component: its centers and twice its min-id vertex's
         // eccentricity.
-        let components = [(0..10, 0), (10..60, 10)].map(|(range, root)| {
+        let components = [(0..10, 0), (10..60, 10), (60..64, 60)].map(|(range, root)| {
             let ecc = bfs::bfs(&g, root)[range.clone()]
                 .iter()
                 .map(|d| d.expect("connected component"))
@@ -273,6 +310,7 @@ mod tests {
             (count, 2 * ecc)
         });
         assert_eq!(components[0], (5, 18));
+        assert_eq!(components[2], (1, 6));
         let mut deltas = vec![1, 2];
         let mut caps = vec![1];
         for &(count, bound) in &components {
@@ -289,9 +327,10 @@ mod tests {
                         cap,
                         last,
                         |sources, consume| engine.for_each_ball(sources, delta, consume),
-                        |rc, ball: Vec<(VertexId, Dist)>| {
+                        |rc, ball: Option<Vec<(VertexId, Dist)>>| {
                             let nbrs: Neighbors = ball
                                 .into_iter()
+                                .flatten()
                                 .filter(|&(v, _)| v != rc && is_center[v])
                                 .collect();
                             (nbrs.len(), nbrs)
@@ -302,27 +341,36 @@ mod tests {
                     assert_eq!((popular, kept), want, "{ctx}");
                     let skipped: usize = components
                         .iter()
-                        .filter(|&&(count, bound)| !last && delta >= bound && count > cap)
+                        .filter(|&&(count, bound)| {
+                            let alone = delta >= 2 && count == 1;
+                            alone || (!last && delta >= bound && count > cap)
+                        })
                         .map(|&(count, _)| count)
                         .sum();
                     assert_eq!(searched, centers.len() - skipped, "{ctx}");
                 }
             }
         }
-        // The edges of the rule, on the path's five centers: skipped at
-        // δ = 2·ecc(r) = 18, searched one below it or in the last phase.
-        let path_searched = |delta, last| {
+        // The edges of the rules. The long path's five centers are skipped
+        // at δ = 2·ecc(r) = 18 and searched one below it or in the last
+        // phase; the lone center is skipped at every δ ≥ 2, in the last
+        // phase too, and searched at δ = 1.
+        let searched_in = |range: std::ops::Range<VertexId>, delta, last| {
             let mut seen = 0;
             let search = |sources: &[VertexId], consume: &mut dyn FnMut(VertexId, ())| {
-                seen = sources.iter().filter(|&&c| c < 10).count();
+                seen = sources.iter().filter(|c| range.contains(c)).count();
                 sources.iter().for_each(|&c| consume(c, ()));
             };
-            classify_centers(&engine, &centers, delta, 4, last, search, |_, ()| (0, ()));
+            classify_centers(&engine, &centers, delta, 4, last, search, |_, _| (0, ()));
             seen
         };
-        assert_eq!(path_searched(18, false), 0);
-        assert_eq!(path_searched(17, false), 5);
-        assert_eq!(path_searched(18, true), 5);
+        assert_eq!(searched_in(0..10, 18, false), 0);
+        assert_eq!(searched_in(0..10, 17, false), 5);
+        assert_eq!(searched_in(0..10, 18, true), 5);
+        for last in [false, true] {
+            assert_eq!(searched_in(60..64, 1, last), 1);
+            assert_eq!(searched_in(60..64, 2, last), 0);
+        }
     }
 
     #[test]

@@ -181,7 +181,8 @@ fn run_phase<S: AdjStorage>(
     // Task 1: popular detection, keeping the explorations interconnection
     // may need for path recovery. Outside the last phase a center of a
     // saturated component with more than `cap` centers is popular without
-    // a search. Every other center's exploration is a pure function of G,
+    // a search, and a center alone in its component is unpopular without
+    // one. Every other center's exploration is a pure function of G,
     // so the scan fans out through the engine (thread pool or worker pool)
     // in bounded chunks, consumed in center order — the build stays
     // deterministic.

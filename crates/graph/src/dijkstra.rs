@@ -5,14 +5,14 @@
 //! `[d_G(u, v), (1+ε)·d_G(u, v) + β]`.
 //!
 //! Two implementations share one semantics (a path whose length reaches
-//! `u64::MAX` reads as unreachable):
+//! `u64::MAX` reads as unreachable) and one adjacency, [`CsrWords`]: the
+//! all-`u64` weighted CSR a snapshot's emulator section stores and a
+//! [`WeightedGraph`] builds from its edge table
+//! ([`WeightedGraph::csr`]).
 //!
 //! * [`dijkstra`] / [`dijkstra_bounded`] / [`distance`] — binary-heap
-//!   Dijkstra over a [`WeightedGraph`]'s adjacency maps, the reference the
-//!   tests compare against;
-//! * [`sssp`] — the serving kernel: a monotone radix-heap Dijkstra over
-//!   [`CsrWords`], the all-`u64` weighted CSR that a snapshot's emulator
-//!   section stores and a [`FrozenCsr`] holds on the heap.
+//!   Dijkstra, the reference the tests compare against;
+//! * [`sssp`] — the serving kernel: a monotone radix-heap Dijkstra.
 
 use crate::graph::VertexId;
 use crate::weighted::WeightedGraph;
@@ -33,38 +33,17 @@ pub struct CsrWords<'a> {
     pub pairs: &'a [u64],
 }
 
-/// A [`WeightedGraph`] frozen into the [`CsrWords`] layout, so the heap
-/// store runs the same kernel over the same words a mapped snapshot
-/// serves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrozenCsr {
-    offsets: Vec<u64>,
-    pairs: Vec<[u64; 2]>,
-}
-
-impl FrozenCsr {
-    /// Freezes `g` in `O(m log Δ)`: each row's adjacency-map entries,
-    /// sorted by neighbor.
-    pub fn freeze(g: &WeightedGraph) -> Self {
-        let n = g.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut pairs = Vec::with_capacity(2 * g.num_edges());
-        offsets.push(0);
-        for v in 0..n {
-            let row = pairs.len();
-            pairs.extend(g.neighbors(v).map(|(u, w)| [u as u64, w]));
-            pairs[row..].sort_unstable_by_key(|p| p[0]);
-            offsets.push(pairs.len() as u64);
-        }
-        FrozenCsr { offsets, pairs }
-    }
-
-    /// The frozen words.
-    pub fn words(&self) -> CsrWords<'_> {
-        CsrWords {
-            offsets: &self.offsets,
-            pairs: self.pairs.as_flattened(),
-        }
+impl<'a> CsrWords<'a> {
+    /// Row `v`: its `(neighbor, weight)` pairs, ascending by neighbor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn row(self, v: VertexId) -> impl Iterator<Item = (VertexId, Dist)> + 'a {
+        let entries = 2 * self.offsets[v] as usize..2 * self.offsets[v + 1] as usize;
+        self.pairs[entries]
+            .chunks_exact(2)
+            .map(|pair| (pair[0] as VertexId, pair[1]))
     }
 }
 
@@ -128,13 +107,12 @@ impl RadixHeap {
 /// # Example
 ///
 /// ```
-/// use usnae_graph::{WeightedGraph, dijkstra::{sssp, FrozenCsr}};
+/// use usnae_graph::{WeightedGraph, dijkstra::sssp};
 ///
 /// let mut h = WeightedGraph::new(3);
 /// h.add_edge(0, 1, 5);
 /// h.add_edge(1, 2, 7);
-/// let csr = FrozenCsr::freeze(&h);
-/// assert_eq!(sssp(csr.words(), 0), vec![Some(0), Some(5), Some(12)]);
+/// assert_eq!(sssp(h.csr(), 0), vec![Some(0), Some(5), Some(12)]);
 /// ```
 pub fn sssp(csr: CsrWords<'_>, source: VertexId) -> Vec<Option<Dist>> {
     let n = csr.offsets.len().saturating_sub(1);
@@ -148,9 +126,7 @@ pub fn sssp(csr: CsrWords<'_>, source: VertexId) -> Vec<Option<Dist>> {
         if dist[v] != Some(d) {
             continue;
         }
-        let row = 2 * csr.offsets[v] as usize..2 * csr.offsets[v + 1] as usize;
-        for pair in csr.pairs[row].chunks_exact(2) {
-            let (nb, w) = (pair[0] as usize, pair[1]);
+        for (nb, w) in csr.row(v) {
             let nd = d.saturating_add(w);
             if nd < dist[nb].unwrap_or(INF) {
                 dist[nb] = Some(nd);
@@ -181,6 +157,7 @@ pub fn dijkstra(g: &WeightedGraph, source: usize) -> Vec<Option<Dist>> {
 /// Dijkstra truncated at distance `bound`: vertices farther than `bound`
 /// remain `None`. The centralized Algorithm 1 uses this with `bound = δ_i`.
 pub fn dijkstra_bounded(g: &WeightedGraph, source: usize, bound: Dist) -> Vec<Option<Dist>> {
+    let csr = g.csr();
     let n = g.num_vertices();
     let mut dist: Vec<Dist> = vec![INF; n];
     let mut done = vec![false; n];
@@ -192,7 +169,7 @@ pub fn dijkstra_bounded(g: &WeightedGraph, source: usize, bound: Dist) -> Vec<Op
             continue;
         }
         done[u] = true;
-        for (v, w) in g.neighbors(u) {
+        for (v, w) in csr.row(u) {
             let nd = d.saturating_add(w);
             if nd < dist[v] && nd <= bound {
                 dist[v] = nd;
@@ -209,6 +186,7 @@ pub fn dijkstra_bounded(g: &WeightedGraph, source: usize, bound: Dist) -> Vec<Op
 /// Point-to-point distance in a weighted graph.
 pub fn distance(g: &WeightedGraph, source: usize, target: usize) -> Option<Dist> {
     // Early-exit Dijkstra: stop as soon as `target` is settled.
+    let csr = g.csr();
     let n = g.num_vertices();
     let mut dist: Vec<Dist> = vec![INF; n];
     let mut done = vec![false; n];
@@ -223,7 +201,7 @@ pub fn distance(g: &WeightedGraph, source: usize, target: usize) -> Option<Dist>
             return Some(d);
         }
         done[u] = true;
-        for (v, w) in g.neighbors(u) {
+        for (v, w) in csr.row(u) {
             let nd = d.saturating_add(w);
             if nd < dist[v] {
                 dist[v] = nd;
@@ -251,7 +229,7 @@ mod tests {
         let g = weighted_path(&[2, 3, 4]);
         let d = dijkstra(&g, 0);
         assert_eq!(d, vec![Some(0), Some(2), Some(5), Some(9)]);
-        assert_eq!(sssp(FrozenCsr::freeze(&g).words(), 0), d);
+        assert_eq!(sssp(g.csr(), 0), d);
     }
 
     #[test]
@@ -269,7 +247,7 @@ mod tests {
         let mut g = WeightedGraph::new(3);
         g.add_edge(0, 1, 1);
         assert_eq!(dijkstra(&g, 0)[2], None);
-        assert_eq!(sssp(FrozenCsr::freeze(&g).words(), 0)[2], None);
+        assert_eq!(sssp(g.csr(), 0)[2], None);
     }
 
     #[test]

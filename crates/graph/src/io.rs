@@ -600,7 +600,8 @@ pub fn write_weighted_edge_list<W: Write>(h: &WeightedGraph, mut writer: W) -> s
 ///
 /// # Errors
 ///
-/// [`IoError`] on read failures or malformed lines.
+/// [`IoError`] on read failures or malformed lines, and
+/// [`IoError::Graph`] with [`GraphError::SelfLoop`] on a loop `v v w`.
 pub fn read_weighted_edge_list<R: BufRead>(
     reader: R,
     min_vertices: usize,
@@ -627,6 +628,9 @@ pub fn read_weighted_edge_list<R: BufRead>(
                 content: line.clone(),
             });
         };
+        if u == v {
+            return Err(IoError::Graph(GraphError::SelfLoop { vertex: u }));
+        }
         max_vertex = max_vertex.max(u).max(v);
         edges.push((u, v, w));
     }
@@ -691,6 +695,15 @@ mod tests {
         assert!(matches!(
             read_edge_list(text.as_bytes(), 0),
             Err(IoError::Graph(_))
+        ));
+    }
+
+    #[test]
+    fn weighted_self_loop_rejected() {
+        let text = "0 1 2\n3 3 5\n";
+        assert!(matches!(
+            read_weighted_edge_list(text.as_bytes(), 0),
+            Err(IoError::Graph(GraphError::SelfLoop { vertex: 3 }))
         ));
     }
 

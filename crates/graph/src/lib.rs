@@ -5,8 +5,9 @@
 //!
 //! * [`Graph`] — a compact CSR (compressed sparse row) representation of an
 //!   *unweighted undirected* graph, the paper's input object `G = (V, E)`.
-//! * [`WeightedGraph`] — an adjacency-list *weighted* graph used for the
-//!   emulator `H` (emulator edges carry weights `d_G(r_C, r_C')`).
+//! * [`WeightedGraph`] — the mutable *weighted* graph used for the
+//!   emulator `H` (emulator edges carry weights `d_G(r_C, r_C')`): one
+//!   pair table, read through a weighted CSR built on demand.
 //! * [`generators`] — synthetic workload families (the paper has no datasets,
 //!   so experiments run on Erdős–Rényi, random-regular, grids, stars,
 //!   Barabási–Albert, Watts–Strogatz, dumbbells, …).

@@ -1,14 +1,25 @@
-//! Weighted undirected multigraph used for emulators `H`.
+//! Weighted undirected graph used for emulators `H`.
 //!
 //! Emulator edges carry integral weights (`d_G` distances). Unlike
 //! [`Graph`](crate::Graph), this structure is mutable (the constructions add
 //! edges phase by phase) and keeps parallel edges apart only by weight: when
 //! the same pair is inserted twice, the smaller weight wins, matching the
 //! semantics of shortest-path structures.
+//!
+//! The edges live in one table keyed by the canonical pair `(min, max)`,
+//! so an insertion is one hash probe. Every adjacency read — [`neighbors`],
+//! [`degree`] and the SSSP kernel — goes through one CSR in the
+//! [`CsrWords`] layout a snapshot's emulator section stores, built from the
+//! table on the first read after an insertion.
+//!
+//! [`neighbors`]: WeightedGraph::neighbors
+//! [`degree`]: WeightedGraph::degree
 
+use crate::dijkstra::CsrWords;
 use crate::graph::VertexId;
 use crate::Dist;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::OnceLock;
 
 /// A weighted undirected edge of an emulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,7 +43,8 @@ impl WeightedEdge {
     }
 }
 
-/// Mutable weighted undirected simple graph (adjacency-map based).
+/// Mutable weighted undirected simple graph: a pair table, read through
+/// a CSR built on demand.
 ///
 /// # Example
 ///
@@ -44,30 +56,69 @@ impl WeightedEdge {
 /// h.add_edge(2, 0, 3); // keeps the lighter parallel edge
 /// assert_eq!(h.num_edges(), 1);
 /// assert_eq!(h.weight(0, 2), Some(3));
+/// assert_eq!(h.neighbors(2).collect::<Vec<_>>(), [(0, 3)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WeightedGraph {
-    adjacency: Vec<HashMap<VertexId, Dist>>,
-    num_edges: usize,
+    num_vertices: usize,
+    /// The lightest weight inserted per canonical pair `(u, v)`, `u < v`.
+    weights: HashMap<(VertexId, VertexId), Dist>,
+    /// The table as a CSR; every insertion clears it.
+    csr: OnceLock<Csr>,
+}
+
+/// The owned [`CsrWords`]: `n + 1` offsets counted in pairs, then one
+/// `[neighbor, weight]` pair per adjacency entry, each row ascending.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<u64>,
+    pairs: Vec<[u64; 2]>,
+}
+
+impl Csr {
+    /// The one CSR builder, in `O(n + m log Δ)`: count each row, place
+    /// both directions of every table entry, sort each row by neighbor.
+    fn build(n: usize, weights: &HashMap<(VertexId, VertexId), Dist>) -> Self {
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in weights.keys() {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
+        let mut pairs = vec![[0u64; 2]; 2 * weights.len()];
+        for (&(u, v), &w) in weights {
+            pairs[cursor[u]] = [v as u64, w];
+            cursor[u] += 1;
+            pairs[cursor[v]] = [u as u64, w];
+            cursor[v] += 1;
+        }
+        for row in offsets.windows(2) {
+            pairs[row[0] as usize..row[1] as usize].sort_unstable_by_key(|p| p[0]);
+        }
+        Csr { offsets, pairs }
+    }
 }
 
 impl WeightedGraph {
     /// Creates an edgeless weighted graph on `n` vertices.
     pub fn new(n: usize) -> Self {
         WeightedGraph {
-            adjacency: vec![HashMap::new(); n],
-            num_edges: 0,
+            num_vertices: n,
+            ..WeightedGraph::default()
         }
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adjacency.len()
+        self.num_vertices
     }
 
     /// Number of undirected edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.weights.len()
     }
 
     /// Inserts the undirected edge `(u, v)` with `weight`.
@@ -82,28 +133,26 @@ impl WeightedGraph {
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, weight: Dist) -> bool {
         assert_ne!(u, v, "emulator edges are never self-loops");
         assert!(
-            u < self.num_vertices() && v < self.num_vertices(),
+            u < self.num_vertices && v < self.num_vertices,
             "endpoint out of range"
         );
-        let mut created = false;
-        let entry = self.adjacency[u].entry(v).or_insert_with(|| {
-            created = true;
-            weight
-        });
-        if weight < *entry {
-            *entry = weight;
+        self.csr.take();
+        match self.weights.entry((u.min(v), u.max(v))) {
+            Entry::Vacant(slot) => {
+                slot.insert(weight);
+                true
+            }
+            Entry::Occupied(mut slot) => {
+                let kept = slot.get_mut();
+                *kept = (*kept).min(weight);
+                false
+            }
         }
-        let w = *entry;
-        self.adjacency[v].insert(u, w);
-        if created {
-            self.num_edges += 1;
-        }
-        created
     }
 
     /// Weight of edge `(u, v)` if present.
     pub fn weight(&self, u: VertexId, v: VertexId) -> Option<Dist> {
-        self.adjacency.get(u)?.get(&v).copied()
+        self.weights.get(&(u.min(v), u.max(v))).copied()
     }
 
     /// Whether the edge `(u, v)` exists.
@@ -111,32 +160,48 @@ impl WeightedGraph {
         self.weight(u, v).is_some()
     }
 
-    /// Neighbors of `v` with weights, in unspecified order.
+    /// The adjacency in the [`CsrWords`] layout, the words the SSSP
+    /// kernel reads; built from the edge table (`O(n + m log Δ)`) on the
+    /// first read after an insertion.
+    pub fn csr(&self) -> CsrWords<'_> {
+        let csr = self
+            .csr
+            .get_or_init(|| Csr::build(self.num_vertices, &self.weights));
+        CsrWords {
+            offsets: &csr.offsets,
+            pairs: csr.pairs.as_flattened(),
+        }
+    }
+
+    /// Neighbors of `v` with weights, ascending by neighbor.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Dist)> + '_ {
-        self.adjacency[v].iter().map(|(&u, &w)| (u, w))
+        self.csr().row(v)
     }
 
     /// Degree of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency[v].len()
+        let offsets = self.csr().offsets;
+        (offsets[v + 1] - offsets[v]) as usize
     }
 
     /// All edges in canonical `(u <= v)` form, in unspecified order.
     pub fn edges(&self) -> impl Iterator<Item = WeightedEdge> + '_ {
-        self.adjacency.iter().enumerate().flat_map(|(u, nbrs)| {
-            nbrs.iter()
-                .filter(move |(&v, _)| u <= v)
-                .map(move |(&v, &w)| WeightedEdge { u, v, weight: w })
-        })
+        self.weights
+            .iter()
+            .map(|(&(u, v), &weight)| WeightedEdge { u, v, weight })
     }
 
     /// Sum of all edge weights.
     pub fn total_weight(&self) -> u128 {
-        self.edges().map(|e| e.weight as u128).sum()
+        self.weights.values().map(|&w| w as u128).sum()
     }
 
     /// Builds a weighted graph that mirrors an unweighted [`Graph`](crate::Graph) with all
@@ -151,10 +216,12 @@ impl WeightedGraph {
 }
 
 impl FromIterator<WeightedEdge> for WeightedGraph {
-    /// Collects edges; the vertex count is one past the largest endpoint.
+    /// Collects edges; the vertex count is one past the largest endpoint
+    /// (either field may hold it: the fields are public, so an edge need
+    /// not be canonical).
     fn from_iter<T: IntoIterator<Item = WeightedEdge>>(iter: T) -> Self {
         let edges: Vec<_> = iter.into_iter().collect();
-        let n = edges.iter().map(|e| e.v + 1).max().unwrap_or(0);
+        let n = edges.iter().map(|e| e.u.max(e.v) + 1).max().unwrap_or(0);
         let mut g = WeightedGraph::new(n);
         for e in edges {
             g.add_edge(e.u, e.v, e.weight);
@@ -230,6 +297,21 @@ mod tests {
             .collect();
         assert_eq!(h.num_vertices(), 6);
         assert_eq!(h.num_edges(), 2);
+    }
+
+    #[test]
+    fn from_iterator_sizes_by_either_endpoint() {
+        // A non-canonical edge (fields set directly) keeps its larger
+        // endpoint in `u`.
+        let h: WeightedGraph = [WeightedEdge {
+            u: 5,
+            v: 0,
+            weight: 2,
+        }]
+        .into_iter()
+        .collect();
+        assert_eq!(h.num_vertices(), 6);
+        assert_eq!(h.weight(0, 5), Some(2));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! over a deterministic sweep of seeded random instances (the repository is
 //! dependency-free, so no proptest — the sweep plays its role).
 
+use std::collections::BTreeMap;
 use usnae_graph::bfs::{bfs, bfs_bounded, multi_source_bfs};
 use usnae_graph::connectivity::{components, connect_components, is_connected};
-use usnae_graph::dijkstra::{dijkstra, distance, sssp, FrozenCsr};
+use usnae_graph::dijkstra::{dijkstra, distance, sssp};
 use usnae_graph::rng::Rng;
 use usnae_graph::union_find::UnionFind;
 use usnae_graph::{generators, Graph, GraphBuilder, WeightedGraph};
@@ -81,11 +82,7 @@ fn dijkstra_equals_bfs_on_unit_weights() {
         let g = random_graph(seed);
         let h = WeightedGraph::from_unit_graph(&g);
         assert_eq!(bfs(&g, 0), dijkstra(&h, 0), "seed {seed}");
-        assert_eq!(
-            bfs(&g, 0),
-            sssp(FrozenCsr::freeze(&h).words(), 0),
-            "seed {seed}"
-        );
+        assert_eq!(bfs(&g, 0), sssp(h.csr(), 0), "seed {seed}");
     }
 }
 
@@ -124,13 +121,8 @@ fn random_weighted_graph(seed: u64) -> WeightedGraph {
 fn sssp_kernel_equals_dijkstra_on_weighted_graphs() {
     for seed in 0..CASES {
         let h = random_weighted_graph(seed);
-        let csr = FrozenCsr::freeze(&h);
         for s in 0..h.num_vertices() {
-            assert_eq!(
-                sssp(csr.words(), s),
-                dijkstra(&h, s),
-                "seed {seed} source {s}"
-            );
+            assert_eq!(sssp(h.csr(), s), dijkstra(&h, s), "seed {seed} source {s}");
         }
     }
 }
@@ -257,5 +249,89 @@ fn weighted_graph_min_weight() {
             assert_eq!(h.weight(u, v), Some(w));
             assert_eq!(h.weight(v, u), Some(w));
         }
+    }
+}
+
+/// Checks every read of `h` against the pair-map model: the edge count,
+/// each pair's weight, and each row's neighbors, ascending with their
+/// weights, through `neighbors`, `degree` and the CSR words.
+fn assert_matches_model(h: &WeightedGraph, model: &BTreeMap<(usize, usize), u64>, ctx: &str) {
+    let n = h.num_vertices();
+    assert_eq!(h.num_edges(), model.len(), "{ctx}: edges");
+    let mut rows: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+    for (&(u, v), &w) in model {
+        rows[u].push((v, w));
+        rows[v].push((u, w));
+    }
+    for row in &mut rows {
+        row.sort_unstable();
+    }
+    for (v, row) in rows.iter().enumerate() {
+        assert_eq!(h.neighbors(v).collect::<Vec<_>>(), *row, "{ctx}: row {v}");
+        assert_eq!(h.degree(v), row.len(), "{ctx}: degree {v}");
+        for u in 0..n {
+            let want = model.get(&(u.min(v), u.max(v))).copied();
+            assert_eq!(h.weight(u, v), want, "{ctx}: weight ({u}, {v})");
+        }
+    }
+    let csr = h.csr();
+    let offsets: Vec<u64> = std::iter::once(0)
+        .chain(rows.iter().scan(0, |end, row| {
+            *end += row.len() as u64;
+            Some(*end)
+        }))
+        .collect();
+    let pairs: Vec<u64> = rows
+        .iter()
+        .flatten()
+        .flat_map(|&(u, w)| [u as u64, w])
+        .collect();
+    assert_eq!(
+        (csr.offsets, csr.pairs),
+        (&offsets[..], &pairs[..]),
+        "{ctx}: CSR words"
+    );
+}
+
+/// `WeightedGraph` against a `BTreeMap<(u, v), w>` model over seeded
+/// insertion streams: pairs repeat with lighter and with heavier weights,
+/// in both orientations, and the vertices past `active` stay isolated.
+/// Reads run between insertions, so a CSR an insertion left stale fails.
+#[test]
+fn weighted_graph_matches_a_pair_map_model() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = rng.gen_range(2, 30);
+        let active = rng.gen_range(2, n + 1);
+        let mut h = WeightedGraph::new(n);
+        let mut model = BTreeMap::new();
+        let mut inserted: Vec<(usize, usize)> = Vec::new();
+        for step in 0..rng.gen_range(1, 120) {
+            let (u, v) = if !inserted.is_empty() && rng.gen_range(0, 3) == 0 {
+                let (a, b) = inserted[rng.gen_range(0, inserted.len())];
+                if rng.gen_range(0, 2) == 0 {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            } else {
+                (rng.gen_range(0, active), rng.gen_range(0, active))
+            };
+            if u == v {
+                continue;
+            }
+            let w = rng.gen_range(0, 40) as u64;
+            let key = (u.min(v), u.max(v));
+            let created = !model.contains_key(&key);
+            let kept = model.entry(key).or_insert(w);
+            *kept = (*kept).min(w);
+            let ctx = format!("seed {seed} step {step}: add ({u}, {v}, {w})");
+            assert_eq!(h.add_edge(u, v, w), created, "{ctx}");
+            inserted.push((u, v));
+            if rng.gen_range(0, 3) == 0 {
+                assert_matches_model(&h, &model, &ctx);
+            }
+        }
+        assert_matches_model(&h, &model, &format!("seed {seed}: end"));
     }
 }

@@ -26,8 +26,12 @@ mod common;
 
 use common::{fixture_graphs, golden_config};
 use std::path::PathBuf;
-use usnae::api::{BuildConfig, PartitionPolicy, TransportKind};
-use usnae::core::cache::{CacheKey, Snapshot, MIN_VERSION, VERSION};
+use usnae::api::{BuildConfig, BuildStats, PartitionPolicy, TransportKind};
+use usnae::core::cache::{CacheKey, Snapshot, MIN_VERSION, SECTION_EMU_CSR, VERSION};
+use usnae::core::emulator::stream_fingerprint;
+use usnae::core::{EdgeKind, EdgeProvenance};
+use usnae::graph::metrics::Fnv64;
+use usnae::graph::WeightedEdge;
 use usnae::registry;
 
 fn regen_requested() -> bool {
@@ -189,4 +193,141 @@ fn legacy_reencode_at_same_version_is_byte_stable() {
              committed fixture byte-for-byte"
         );
     }
+}
+
+/// FNV-64 digests of the v4 `EMU_CSR` section built from each committed
+/// golden record stream (`tests/data/*.stream`) and from
+/// [`heavier_then_lighter`]. No v4 fixture is committed, and decode
+/// checks the section against a recomputation by the very builder that
+/// wrote it, so a drift of the layout (row order, the lighter-weight
+/// rule, the header words) would pass every round trip: these digests
+/// are what pin the bytes.
+const EMU_CSR_DIGESTS: [(&str, u64); 19] = [
+    ("grid8x8.centralized.stream", 0xf3a64d2646835d35),
+    ("grid8x8.distributed-spanner.stream", 0xde9349fdf1a7b8ad),
+    ("grid8x8.distributed.stream", 0xa20d37a7c5e2a35c),
+    ("grid8x8.em19.stream", 0xde9349fdf1a7b8ad),
+    ("grid8x8.en17a.stream", 0x3ef895aacfddaa11),
+    ("grid8x8.ep01.stream", 0xf3a64d2646835d35),
+    ("grid8x8.fast-centralized.stream", 0xa20d37a7c5e2a35c),
+    ("grid8x8.spanner.stream", 0xde9349fdf1a7b8ad),
+    ("grid8x8.tz06.stream", 0x8c2a0274774190ea),
+    ("ring48.centralized.stream", 0x8ecccafaad076ae2),
+    ("ring48.distributed-spanner.stream", 0xeee9365d3db1d0e2),
+    ("ring48.distributed.stream", 0x8ecccafaad076ae2),
+    ("ring48.em19.stream", 0xe719b56990d738fe),
+    ("ring48.en17a.stream", 0x0065bbe7991aac17),
+    ("ring48.ep01.stream", 0x06ff9e8da5ef5817),
+    ("ring48.fast-centralized.stream", 0x8ecccafaad076ae2),
+    ("ring48.spanner.stream", 0xe719b56990d738fe),
+    ("ring48.tz06.stream", 0xa6dc2fbc1b0be4bd),
+    ("heavier-then-lighter", 0x7a1608dae11c4a6c),
+];
+
+/// A synthetic stream no golden stream covers: pairs repeated heavier
+/// and lighter, in both orientations, with an isolated vertex (4).
+fn heavier_then_lighter() -> (usize, Vec<(WeightedEdge, EdgeProvenance)>) {
+    let prov = EdgeProvenance {
+        phase: 0,
+        kind: EdgeKind::Interconnection,
+        charged_to: 0,
+    };
+    let stream = [
+        (1, 0, 9),
+        (0, 1, 3),
+        (2, 3, 5),
+        (3, 2, 7),
+        (0, 3, 2),
+        (1, 2, 4),
+        (2, 1, 1),
+    ];
+    let records = stream
+        .iter()
+        .map(|&(u, v, w)| (WeightedEdge::new(u, v, w), prov))
+        .collect();
+    (5, records)
+}
+
+/// Parses a golden stream file: its `n=` header and its
+/// `u v w phase kind charged_to` records.
+fn parse_stream(text: &str) -> (usize, Vec<(WeightedEdge, EdgeProvenance)>) {
+    let n = text
+        .lines()
+        .find_map(|l| l.strip_prefix("# graph="))
+        .and_then(|l| l.split_whitespace().find_map(|f| f.strip_prefix("n=")))
+        .and_then(|n| n.parse().ok())
+        .expect("stream header carries n=");
+    let records = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let f: Vec<u64> = l.split_whitespace().map(|x| x.parse().unwrap()).collect();
+            let edge = WeightedEdge::new(f[0] as usize, f[1] as usize, f[2]);
+            let kind = EdgeKind::from_code(f[4] as u8).expect("valid kind");
+            let prov = EdgeProvenance {
+                phase: f[3] as usize,
+                kind,
+                charged_to: f[5] as usize,
+            };
+            (edge, prov)
+        })
+        .collect();
+    (n, records)
+}
+
+/// FNV-64 of the `EMU_CSR` section of the v4 encoding of `records`,
+/// located through the section directory (16-byte header, then one
+/// `id, offset, length` entry per section). The encoding must decode.
+fn emu_csr_digest(n: usize, records: Vec<(WeightedEdge, EdgeProvenance)>) -> u64 {
+    let snap = Snapshot {
+        key: CacheKey {
+            graph_fingerprint: 0,
+            algorithm: "pinned".into(),
+            config_digest: 0,
+        },
+        stream_fingerprint: stream_fingerprint(&records),
+        num_vertices: n,
+        records,
+        certified: None,
+        size_bound: None,
+        congest: None,
+        stats: BuildStats::default(),
+    };
+    let bytes = snap.encode();
+    Snapshot::decode(&bytes).expect("the encoding decodes");
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let entry = (0..5)
+        .map(|i| 16 + 24 * i)
+        .find(|&at| word(at) == SECTION_EMU_CSR as usize)
+        .expect("directory lists EMU_CSR");
+    let (offset, len) = (word(entry + 8), word(entry + 16));
+    let mut h = Fnv64::new();
+    h.write_bytes(&bytes[offset..offset + len]);
+    h.finish()
+}
+
+#[test]
+fn emu_csr_section_bytes_are_pinned() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/data")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".stream"))
+        .collect();
+    names.sort();
+    let mut got: Vec<(String, u64)> = names
+        .into_iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+            let (n, records) = parse_stream(&text);
+            (name, emu_csr_digest(n, records))
+        })
+        .collect();
+    let (n, records) = heavier_then_lighter();
+    got.push(("heavier-then-lighter".into(), emu_csr_digest(n, records)));
+    let want: Vec<(String, u64)> = EMU_CSR_DIGESTS
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert_eq!(got, want, "EMU_CSR section bytes drifted");
 }

@@ -167,9 +167,9 @@ fn every_registry_algorithm_is_transport_invariant() {
 /// the frontier, key and rank messages of its exploration rounds.
 const PINNED_TRAFFIC: [(&str, &str, (u64, u64, u64)); 4] = [
     ("ring48", "centralized", (40, 82, 2_952)),
-    ("ring48", "fast-centralized", (42, 114, 4_104)),
+    ("ring48", "fast-centralized", (34, 85, 3_060)),
     ("grid8x8", "centralized", (192, 76, 2_736)),
-    ("grid8x8", "fast-centralized", (66, 62, 2_232)),
+    ("grid8x8", "fast-centralized", (52, 46, 1_656)),
 ];
 
 #[test]
