@@ -44,7 +44,9 @@
 //! already exist; either way the graph is then memory-mapped and the
 //! construction runs over it through `build_mapped` — byte-identical to
 //! the heap run, with peak memory bounded by the output structure rather
-//! than the input graph.
+//! than the input graph. The `streamed:` line gives the streaming time;
+//! on the heap path `--report` gives the edge list's load time as a
+//! `load:` line.
 //!
 //! `usnae query --mapped <snapshot>` is the zero-copy serving path: the
 //! codec-v4 snapshot file is mapped, its section directory is used to
@@ -75,6 +77,7 @@
 
 use std::fmt;
 use std::io::BufReader;
+use std::time::Instant;
 
 use usnae_baselines::registry;
 use usnae_core::api::{
@@ -919,6 +922,7 @@ pub fn run_build_mapped(
         .expect("run_build_mapped requires --graph-file");
     let mut stream_line = None;
     if !opts.input.is_empty() {
+        let t0 = Instant::now();
         let stats = gio::stream_edge_list_to_csr_file(
             std::path::Path::new(&opts.input),
             std::path::Path::new(path),
@@ -929,8 +933,10 @@ pub fn run_build_mapped(
         )
         .map_err(|e| CliError(format!("cannot stream {} into {path}: {e}", opts.input)))?;
         stream_line = Some(format!(
-            "streamed: {} line(s) -> {path} ({} duplicate(s) collapsed)",
-            stats.lines, stats.duplicate_edges
+            "streamed: {} line(s) -> {path} ({} duplicate(s) collapsed) in {:.3?}",
+            stats.lines,
+            stats.duplicate_edges,
+            t0.elapsed()
         ));
     }
     let g = MappedGraph::open(std::path::Path::new(path))
@@ -980,13 +986,16 @@ pub fn execute(opts: &Options) -> Result<Vec<String>, CliError> {
     if let Some(socket) = &opts.connect {
         return execute_run_connect(opts, socket);
     }
+    let mut load_time = None;
     let (out, n, m, stream_line) = if opts.graph_file.is_some() {
         run_build_mapped(opts)?
     } else {
+        let t0 = Instant::now();
         let file = std::fs::File::open(&opts.input)
             .map_err(|e| CliError(format!("cannot open {}: {e}", opts.input)))?;
         let g = gio::read_edge_list(BufReader::new(file), 0)
             .map_err(|e| CliError(format!("cannot parse {}: {e}", opts.input)))?;
+        load_time = Some(t0.elapsed());
         let (n, m) = (g.num_vertices(), g.num_edges());
         (run_build(&g, opts)?, n, m, None)
     };
@@ -1044,6 +1053,9 @@ pub fn execute(opts: &Options) -> Result<Vec<String>, CliError> {
                 out.stats.transport, m.rounds, m.messages, m.bytes
             )),
             None => lines.push(format!("transport: {}", out.stats.transport)),
+        }
+        if let Some(t) = load_time {
+            lines.push(format!("load: {t:.3?}"));
         }
         let mut timing = format!(
             "build: {:.3?} on {} thread(s)",
@@ -1375,10 +1387,11 @@ mod tests {
         let _ = std::fs::remove_file(&input);
         let phases = run_build(&g, &opts).unwrap().stats.phases;
         assert!(phases.len() > 1, "spanner records every phase");
-        let line = lines
-            .iter()
-            .find(|l| l.starts_with("build: "))
-            .expect("--report prints the build line");
+        let at = |prefix: &str| lines.iter().position(|l| l.starts_with(prefix));
+        let load = at("load: ").expect("--report prints the load line");
+        assert!(lines[load].ends_with('s'), "a duration: {}", lines[load]);
+        let line = &lines[at("build: ").expect("--report prints the build line")];
+        assert!(load < at("build: ").unwrap(), "load before build");
         assert!(line.contains(" thread(s); phase 0: "), "{line}");
         let entries: Vec<&str> = line.split("; ").skip(1).collect();
         assert_eq!(entries.len(), phases.len(), "{line}");
@@ -1519,6 +1532,11 @@ mod tests {
         ))
         .unwrap();
         assert!(mapped[0].starts_with("streamed:"), "{:?}", mapped[0]);
+        assert!(mapped[0].contains(" collapsed) in "), "{:?}", mapped[0]);
+        assert!(
+            !mapped.iter().any(|l| l.starts_with("load: ")),
+            "streamed, not loaded"
+        );
         let fp = |lines: &[String]| {
             lines
                 .iter()

@@ -274,6 +274,10 @@ pub struct Snapshot {
     pub stats: BuildStats,
 }
 
+/// A fully decoded snapshot with the emulator graph its decode replayed
+/// from the records, when it did.
+type Replayed = (Snapshot, Option<WeightedGraph>);
+
 /// Little-endian byte writer with the running whole-file checksum.
 struct Writer {
     buf: Vec<u8>,
@@ -606,24 +610,30 @@ fn read_transport_stats(
     Ok((transport, messages))
 }
 
-/// Serializes the emulator adjacency implied by `records` as an all-`u64`
-/// weighted CSR: `n`, `m` (distinct undirected edges), `adj_len = 2m`, the
-/// `(n+1)`-entry offset array, then `(neighbor, weight)` pairs with every
-/// vertex's neighbors ascending. The words are the replayed emulator's
-/// own [`WeightedGraph::csr`] — the builder the heap query store reads —
-/// so a pair keeps its lightest weight over the stream and the section is
-/// a pure function of the records: decode byte-compares it against a
-/// recomputation, and [`MappedEmulator`] runs the SSSP kernel
-/// ([`dijkstra::sssp`], which reads this layout as [`CsrWords`]) over it
-/// without ever touching the record stream.
-fn emu_csr_section(n: usize, records: &[(WeightedEdge, EdgeProvenance)]) -> Vec<u8> {
+/// The emulator graph `records` build over `n` vertices.
+fn replay(n: usize, records: &[(WeightedEdge, EdgeProvenance)]) -> WeightedGraph {
     let mut h = WeightedGraph::new(n);
     for (e, _) in records {
         h.add_edge(e.u, e.v, e.weight);
     }
+    h
+}
+
+/// Serializes the adjacency of the emulator graph `h` (the records'
+/// [`replay`]) as an all-`u64` weighted CSR: `n`, `m` (distinct
+/// undirected edges), `adj_len = 2m`, the `(n+1)`-entry offset array,
+/// then `(neighbor, weight)` pairs with every vertex's neighbors
+/// ascending. The words are `h`'s own [`WeightedGraph::csr`] — the
+/// builder the heap query store reads — so a pair keeps its lightest
+/// weight over the stream and the section is a pure function of the
+/// records: decode byte-compares it against a recomputation, and
+/// [`MappedEmulator`] runs the SSSP kernel ([`dijkstra::sssp`], which
+/// reads this layout as [`CsrWords`]) over it without ever touching the
+/// record stream.
+fn emu_csr_section(h: &WeightedGraph) -> Vec<u8> {
     let csr = h.csr();
     let mut w = Writer::new();
-    w.u64(n as u64);
+    w.u64(h.num_vertices() as u64);
     w.u64(h.num_edges() as u64);
     w.u64(csr.pairs.len() as u64 / 2);
     for &word in csr.offsets.iter().chain(csr.pairs) {
@@ -811,7 +821,7 @@ impl Snapshot {
         write_core_stats(&mut stats, &self.stats);
         write_transport_stats(&mut stats, &self.stats);
 
-        let emu = emu_csr_section(self.num_vertices, &self.records);
+        let emu = emu_csr_section(&replay(self.num_vertices, &self.records));
 
         let bodies = [key.buf, meta.buf, records.buf, stats.buf, emu];
         let mut w = Writer::new();
@@ -848,6 +858,12 @@ impl Snapshot {
     ///
     /// See [`SnapshotError`]; no variant panics.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        Self::decode_replayed(bytes).map(|(snap, _)| snap)
+    }
+
+    /// [`decode`](Self::decode), also returning the emulator graph a v4
+    /// decode replays from the records to check [`SECTION_EMU_CSR`].
+    fn decode_replayed(bytes: &[u8]) -> Result<Replayed, SnapshotError> {
         // Checksum first: it covers everything, so all later parsing runs
         // on bytes already known to be the writer's.
         if bytes.len() < MAGIC.len() + 4 + 8 {
@@ -877,10 +893,11 @@ impl Snapshot {
                 computed,
             });
         }
-        let snap = if version >= 4 {
-            Self::decode_v4(content)?
+        let (snap, graph) = if version >= 4 {
+            let (snap, graph) = Self::decode_v4(content)?;
+            (snap, Some(graph))
         } else {
-            Self::decode_legacy(content, version)?
+            (Self::decode_legacy(content, version)?, None)
         };
         let recomputed = stream_fingerprint(&snap.records);
         if recomputed != snap.stream_fingerprint {
@@ -889,7 +906,7 @@ impl Snapshot {
                 recomputed,
             });
         }
-        Ok(snap)
+        Ok((snap, graph))
     }
 
     /// v2/v3: one sequential stream past magic+version.
@@ -945,8 +962,9 @@ impl Snapshot {
     /// v4: locate every section through the directory, decode each, and
     /// byte-compare the stored [`SECTION_EMU_CSR`] against a recomputation
     /// from the records — a served section that drifted from the stream it
-    /// claims to index is corruption, not a quirk.
-    fn decode_v4(content: &[u8]) -> Result<Snapshot, SnapshotError> {
+    /// claims to index is corruption, not a quirk. Returns the replayed
+    /// graph the check built along with the snapshot.
+    fn decode_v4(content: &[u8]) -> Result<(Snapshot, WeightedGraph), SnapshotError> {
         let table = parse_directory(content)?;
 
         let mut r = Reader::new(&content[table.key.clone()]);
@@ -976,13 +994,14 @@ impl Snapshot {
         let (transport, messages) = read_transport_stats(&mut r)?;
         section_end(&r, "stats")?;
 
-        if content[table.emu.clone()] != emu_csr_section(num_vertices, &records)[..] {
+        let graph = replay(num_vertices, &records);
+        if content[table.emu.clone()] != emu_csr_section(&graph)[..] {
             return Err(SnapshotError::Corrupt {
                 reason: "emulator CSR section does not match the record stream".into(),
             });
         }
 
-        Ok(Snapshot {
+        let snap = Snapshot {
             key: CacheKey {
                 graph_fingerprint,
                 algorithm,
@@ -1003,7 +1022,8 @@ impl Snapshot {
                 messages,
                 cache: CacheStatus::Miss,
             },
-        })
+        };
+        Ok((snap, graph))
     }
 
     /// Replays the stored stream into a live emulator (see
@@ -1015,15 +1035,22 @@ impl Snapshot {
     /// Converts a verified snapshot into a [`BuildOutput`] for the given
     /// construction. `load_time` becomes `stats.total`; the phase list is
     /// empty and `stats.cache` is [`CacheStatus::Hit`] — a warm hit
-    /// visibly skipped all phase work.
-    pub fn into_output(
+    /// visibly skipped all phase work. `replayed` is the graph the decode
+    /// replayed the records to, when it did (v4); the emulator takes it
+    /// over instead of replaying the records again.
+    fn into_output(
         self,
+        replayed: Option<WeightedGraph>,
         algorithm: &'static str,
         threads: usize,
         load_time: Duration,
     ) -> BuildOutput {
+        let emulator = match replayed {
+            Some(graph) => Emulator::from_replayed(graph, self.records),
+            None => Emulator::from_provenance(self.num_vertices, self.records),
+        };
         BuildOutput {
-            emulator: self.rebuild_emulator(),
+            emulator,
             certified: self.certified,
             size_bound: self.size_bound,
             trace: None,
@@ -1464,20 +1491,25 @@ impl ConstructionCache {
     /// Any [`SnapshotError`], including [`SnapshotError::KeyMismatch`] when
     /// the file decodes to a different key than its name promised.
     pub fn load(&self, key: &CacheKey) -> Result<Option<Snapshot>, SnapshotError> {
+        Ok(self.load_replayed(key)?.map(|(snap, _)| snap))
+    }
+
+    /// [`load`](Self::load), with the graph the decode replayed.
+    fn load_replayed(&self, key: &CacheKey) -> Result<Option<Replayed>, SnapshotError> {
         let path = self.entry_path(key);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let snap = Snapshot::decode(&bytes)?;
+        let (snap, graph) = Snapshot::decode_replayed(&bytes)?;
         if snap.key != *key {
             return Err(SnapshotError::KeyMismatch {
                 entry: snap.key.to_string(),
                 requested: key.to_string(),
             });
         }
-        Ok(Some(snap))
+        Ok(Some((snap, graph)))
     }
 
     /// Atomically stores `snapshot` (write to a temp file, then rename), so
@@ -1881,7 +1913,12 @@ impl EvictingCache {
     ///
     /// Any [`SnapshotError`] for a present-but-invalid entry.
     pub fn load(&self, key: &CacheKey) -> Result<Option<Snapshot>, SnapshotError> {
-        let loaded = self.inner.load(key);
+        Ok(self.load_replayed(key)?.map(|(snap, _)| snap))
+    }
+
+    /// [`load`](Self::load), with the graph the decode replayed.
+    fn load_replayed(&self, key: &CacheKey) -> Result<Option<Replayed>, SnapshotError> {
+        let loaded = self.inner.load_replayed(key);
         let mut state = self.state.lock().expect("cache state lock");
         match &loaded {
             Ok(Some(_)) => state.hit(&key.file_name(), &self.inner.entry_path(key)),
@@ -2024,8 +2061,8 @@ impl EvictingCache {
         }
         let t0 = Instant::now();
         let key = CacheKey::new(g, construction.name(), cfg);
-        if let Ok(Some(snap)) = self.load(&key) {
-            return Ok(snap.into_output(construction.name(), cfg.threads, t0.elapsed()));
+        if let Ok(Some((snap, graph))) = self.load_replayed(&key) {
+            return Ok(snap.into_output(graph, construction.name(), cfg.threads, t0.elapsed()));
         }
         let mut out = construction.build(g, cfg)?;
         out.stats.cache = CacheStatus::Miss;
@@ -2069,8 +2106,8 @@ pub fn build_cached(
     if cache_cfg.read {
         // A decode/verify failure is deliberately not fatal: the entry is
         // stale bytes, the rebuild below overwrites it.
-        if let Ok(Some(snap)) = cache.load(&key) {
-            return Ok(snap.into_output(construction.name(), cfg.threads, t0.elapsed()));
+        if let Ok(Some((snap, graph))) = cache.load_replayed(&key) {
+            return Ok(snap.into_output(graph, construction.name(), cfg.threads, t0.elapsed()));
         }
     }
     let mut out = construction.build(g, cfg)?;

@@ -139,6 +139,19 @@ impl Emulator {
         h
     }
 
+    /// The emulator `records` replay to, given the graph they replay to:
+    /// a full snapshot decode builds that graph to check its `EMU_CSR`
+    /// section and hands it over here, so the records are replayed once.
+    pub(crate) fn from_replayed(
+        graph: WeightedGraph,
+        records: Vec<(WeightedEdge, EdgeProvenance)>,
+    ) -> Self {
+        Emulator {
+            graph,
+            provenance: records,
+        }
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()

@@ -276,6 +276,14 @@ impl GraphBuilder {
         }
     }
 
+    /// A builder over edges already checked and canonical: `u < v < n`
+    /// for each `(u, v)`, duplicates allowed. The edge list's loader hands
+    /// its vector over instead of adding the edges one by one.
+    pub(crate) fn from_canonical(n: usize, edges: Vec<(VertexId, VertexId)>) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && v < n));
+        GraphBuilder { n, edges }
+    }
+
     /// Number of vertices the built graph will have.
     pub fn num_vertices(&self) -> usize {
         self.n
@@ -308,36 +316,54 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Finalizes the CSR arrays; O(|E| log |E|).
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut offsets = vec![0usize; self.n + 1];
+    /// Finalizes the CSR arrays in `O(n + |E| + Σ_v d(v) log d(v))`: one
+    /// counting pass places both directions of every edge in its row,
+    /// then each row is sorted and its repeats dropped in place.
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
             offsets[u + 1] += 1;
             offsets[v + 1] += 1;
         }
-        for i in 0..self.n {
+        for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
+        // Place with `offsets[v]` as row v's cursor: each ends at the start
+        // of row v + 1, so shifting the array right restores the starts.
         let mut adjacency = vec![0 as VertexId; 2 * self.edges.len()];
-        let mut cursor = offsets.clone();
-        for &(u, v) in &self.edges {
-            adjacency[cursor[u]] = v;
-            cursor[u] += 1;
-            adjacency[cursor[v]] = u;
-            cursor[v] += 1;
+        for (u, v) in self.edges {
+            adjacency[offsets[u]] = v;
+            offsets[u] += 1;
+            adjacency[offsets[v]] = u;
+            offsets[v] += 1;
         }
-        // Each per-vertex slice is sorted because edges were processed in
-        // lexicographic order for the first endpoint but not the second; sort
-        // slices to give callers the binary-search guarantee of `has_edge`.
-        for v in 0..self.n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort each row and compact it left over the repeats it dropped:
+        // `kept` never passes the read position, and row v's old end is
+        // read before `offsets[v + 1]` is rewritten.
+        let mut kept = 0usize;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            adjacency[start..end].sort_unstable();
+            offsets[v] = kept;
+            for i in start..end {
+                let w = adjacency[i];
+                if kept == offsets[v] || adjacency[kept - 1] != w {
+                    adjacency[kept] = w;
+                    kept += 1;
+                }
+            }
         }
-        let num_edges = self.edges.len();
+        offsets[n] = kept;
+        if kept < adjacency.len() {
+            adjacency.truncate(kept);
+            adjacency.shrink_to_fit();
+        }
         GraphCore {
             storage: HeapAdj::new(offsets, adjacency),
-            num_edges,
+            num_edges: kept / 2,
         }
     }
 }

@@ -4,15 +4,25 @@
 //! ubiquitous whitespace-separated edge-list format (`u v` per line, `#`
 //! comments, 0-based ids) and a weighted variant for emulators (`u v w`).
 //!
-//! Two loading paths share one line grammar (see [`read_edge_list`]):
+//! Two loading paths share one line grammar (see [`read_edge_list`]) and
+//! one scanner, which reads lines straight from the reader's buffered
+//! bytes with no allocation per line:
 //!
-//! * [`read_edge_list`] — buffers the edges and builds a heap [`Graph`];
-//!   a thin wrapper over the shared parser.
+//! * [`read_edge_list`] — collects the edges and hands them to a
+//!   [`GraphBuilder`], building a heap [`Graph`];
 //! * [`stream_edge_list_to_csr_file`] / [`stream_edge_list_to_shards`] —
 //!   the out-of-core path: two passes over the input file produce a
 //!   mappable CSR file (or per-shard CSR files + manifest) directly,
 //!   never materializing the whole graph; peak memory is `O(n)` for the
 //!   degree/offset arrays plus one shard's edges, independent of `m`.
+//!
+//! The scanner parses a line made only of ASCII digits, spaces and tabs
+//! from its bytes. Every other line — a comment, a CR that does not end
+//! the line, a `+` sign, a letter, a byte of a multi-byte character — goes
+//! through the `str` grammar, which stays the one definition of what a
+//! line means (it alone knows Unicode whitespace and names the error);
+//! so does a plain line the byte parser cannot finish (fewer than two
+//! ids, or an id that does not fit).
 
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder, VertexId};
@@ -33,10 +43,12 @@ pub enum IoError {
     Parse {
         /// 1-based line number.
         line: usize,
-        /// The offending content.
+        /// The offending line, without its `\n` and the `\r` before it.
         content: String,
     },
-    /// A vertex id was numeric but exceeds the platform `usize`.
+    /// A vertex id was numeric but does not fit: it exceeds the platform
+    /// `usize`, or it is `usize::MAX`, whose vertex count (`id + 1`)
+    /// overflows.
     Overflow {
         /// 1-based line number.
         line: usize,
@@ -123,21 +135,120 @@ fn parse_edge_line(line_no: usize, line: &str) -> Result<Option<(usize, usize)>,
 }
 
 fn parse_vertex(line_no: usize, line: &str, token: &str) -> Result<usize, IoError> {
+    let overflow = || IoError::Overflow {
+        line: line_no,
+        token: token.to_string(),
+    };
     match token.parse::<usize>() {
+        // The vertex count `id + 1` must fit as well.
+        Ok(usize::MAX) => Err(overflow()),
         Ok(v) => Ok(v),
         // Distinguish "numeric but too large" from "not a number": an
         // all-digit token that fails to parse can only have overflowed.
-        Err(_) if !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit()) => {
-            Err(IoError::Overflow {
-                line: line_no,
-                token: token.to_string(),
-            })
-        }
+        Err(_) if !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit()) => Err(overflow()),
         Err(_) => Err(IoError::Parse {
             line: line_no,
             content: line.to_string(),
         }),
     }
+}
+
+/// Parses a line of ASCII digit tokens separated by spaces and tabs:
+/// `Some(None)` for a blank line, `Some(Some((u, v)))` for an edge.
+/// `None` hands the line to [`parse_edge_line`]: it holds any other byte,
+/// fewer than two ids, or an id that does not fit.
+fn parse_plain_line(line: &[u8]) -> Option<Option<(usize, usize)>> {
+    let mut ids = [0usize; 2];
+    let mut tokens = 0usize;
+    let mut in_token = false;
+    for &b in line {
+        match b {
+            b'0'..=b'9' => {
+                if tokens < 2 {
+                    let id = &mut ids[tokens];
+                    *id = id.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
+                }
+                in_token = true;
+            }
+            b' ' | b'\t' => {
+                tokens += usize::from(in_token);
+                in_token = false;
+            }
+            _ => return None,
+        }
+    }
+    tokens += usize::from(in_token);
+    match tokens {
+        0 => Some(None),
+        1 => None,
+        _ if ids[0].max(ids[1]) == usize::MAX => None,
+        _ => Some(Some((ids[0], ids[1]))),
+    }
+}
+
+/// Parses one line (its `\n` and the `\r` before it removed).
+fn parse_line_bytes(line_no: usize, line: &[u8]) -> Result<Option<(usize, usize)>, IoError> {
+    if let Some(parsed) = parse_plain_line(line) {
+        return Ok(parsed);
+    }
+    let line = std::str::from_utf8(line).map_err(|_| {
+        // The error `BufRead::lines` gives for the same line.
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    parse_edge_line(line_no, line)
+}
+
+/// Reads `reader` to EOF and calls `edge(u, v)` for every edge line, in
+/// file order; returns the number of lines read. Lines split as
+/// [`BufRead::lines`] splits them: on `\n`, with a `\r` before it
+/// dropped, and a last line without `\n` kept whole. Lines are parsed in
+/// the reader's own buffer; only a line that straddles a refill is
+/// copied, into one reused carry buffer.
+fn scan_edges<R: BufRead>(
+    mut reader: R,
+    mut edge: impl FnMut(VertexId, VertexId) -> Result<(), IoError>,
+) -> Result<usize, IoError> {
+    let mut line_no = 0usize;
+    let mut carry: Vec<u8> = Vec::new();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if buf.is_empty() {
+            break;
+        }
+        let mut rest = buf;
+        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+            let line = if carry.is_empty() {
+                &rest[..end]
+            } else {
+                carry.extend_from_slice(&rest[..end]);
+                &carry[..]
+            };
+            line_no += 1;
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if let Some((u, v)) = parse_line_bytes(line_no, line)? {
+                edge(u, v)?;
+            }
+            carry.clear();
+            rest = &rest[end + 1..];
+        }
+        carry.extend_from_slice(rest);
+        let read = buf.len();
+        reader.consume(read);
+    }
+    if !carry.is_empty() {
+        line_no += 1;
+        if let Some((u, v)) = parse_line_bytes(line_no, &carry)? {
+            edge(u, v)?;
+        }
+    }
+    Ok(line_no)
 }
 
 /// Reads an unweighted edge list; the vertex count is
@@ -162,8 +273,10 @@ fn parse_vertex(line_no: usize, line: &str, token: &str) -> Result<usize, IoErro
 /// * [`IoError::Io`] — read failure;
 /// * [`IoError::Parse`] — a non-comment line with fewer than two tokens
 ///   or a non-numeric vertex id (1-based line number + content);
-/// * [`IoError::Overflow`] — a numeric vertex id exceeding `usize`;
-/// * [`IoError::Graph`] — a self-loop `(v, v)`.
+/// * [`IoError::Overflow`] — a numeric vertex id exceeding `usize`, or
+///   equal to `usize::MAX` (its vertex count would overflow);
+/// * [`IoError::Graph`] — a self-loop `(v, v)`, reported once every line
+///   has parsed (the streaming loaders report errors in file order).
 ///
 /// # Example
 ///
@@ -179,26 +292,24 @@ fn parse_vertex(line_no: usize, line: &str, token: &str) -> Result<usize, IoErro
 /// # }
 /// ```
 pub fn read_edge_list<R: BufRead>(reader: R, min_vertices: usize) -> Result<Graph, IoError> {
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut max_vertex = 0usize;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let Some((u, v)) = parse_edge_line(idx + 1, &line)? else {
-            continue;
-        };
-        max_vertex = max_vertex.max(u).max(v);
-        edges.push((u, v));
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut max_vertex = None;
+    let mut first_loop = None;
+    scan_edges(reader, |u, v| {
+        // Every line parses before a self-loop is reported.
+        if u == v {
+            first_loop = first_loop.or(Some(u));
+        }
+        max_vertex = max_vertex.max(Some(u.max(v)));
+        edges.push((u.min(v), u.max(v)));
+        Ok(())
+    })?;
+    if let Some(vertex) = first_loop {
+        return Err(IoError::Graph(GraphError::SelfLoop { vertex }));
     }
-    let n = if edges.is_empty() {
-        min_vertices
-    } else {
-        (max_vertex + 1).max(min_vertices)
-    };
-    let mut b = GraphBuilder::new(n);
-    for (u, v) in edges {
-        b.add_edge(u, v)?;
-    }
-    Ok(b.build())
+    // The grammar rejects the id `usize::MAX`, so `+ 1` cannot overflow.
+    let n = max_vertex.map_or(0, |v| v + 1).max(min_vertices);
+    Ok(GraphBuilder::from_canonical(n, edges).build())
 }
 
 /// Options for the streaming edge-list → CSR-file loaders.
@@ -246,26 +357,22 @@ pub struct StreamStats {
 }
 
 /// Pass 1: line-validate the input and accumulate raw degree counts.
+/// Errors are reported in file order.
 fn scan_degrees(input: &Path) -> Result<(Vec<u64>, usize), IoError> {
     let mut deg: Vec<u64> = Vec::new();
-    let mut lines = 0usize;
-    let reader = BufReader::new(File::open(input)?);
-    for (idx, line) in reader.lines().enumerate() {
-        lines = idx + 1;
-        let line = line?;
-        let Some((u, v)) = parse_edge_line(idx + 1, &line)? else {
-            continue;
-        };
+    let lines = scan_edges(BufReader::new(File::open(input)?), |u, v| {
         if u == v {
             return Err(IoError::Graph(GraphError::SelfLoop { vertex: u }));
         }
+        // The grammar rejects the id `usize::MAX`, so `+ 1` cannot overflow.
         let need = u.max(v) + 1;
         if deg.len() < need {
             deg.resize(need, 0);
         }
         deg[u] += 1;
         deg[v] += 1;
-    }
+        Ok(())
+    })?;
     Ok((deg, lines))
 }
 
@@ -278,19 +385,15 @@ fn spill_buckets(input: &Path, bucket_paths: &[PathBuf], bounds: &[usize]) -> Re
     for p in bucket_paths {
         writers.push(BufWriter::new(File::create(p)?));
     }
-    let reader = BufReader::new(File::open(input)?);
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let Some((u, v)) = parse_edge_line(idx + 1, &line)? else {
-            continue;
-        };
+    scan_edges(BufReader::new(File::open(input)?), |u, v| {
         let w = &mut writers[owner(u)];
         w.write_all(&(u as u64).to_le_bytes())?;
         w.write_all(&(v as u64).to_le_bytes())?;
         let w = &mut writers[owner(v)];
         w.write_all(&(v as u64).to_le_bytes())?;
         w.write_all(&(u as u64).to_le_bytes())?;
-    }
+        Ok(())
+    })?;
     for w in writers {
         w.into_inner()
             .map_err(|e| IoError::Io(e.into_error()))?
@@ -725,6 +828,24 @@ mod tests {
             }
             other => panic!("expected overflow error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn usize_max_vertex_id_overflows_the_vertex_count() {
+        let text = "0 1\n0 18446744073709551615\n";
+        let (dir, input) = stream_fixture("max-id", text);
+        let heap = read_edge_list(text.as_bytes(), 0);
+        let streamed =
+            stream_edge_list_to_csr_file(&input, &dir.join("g.csr"), &StreamOptions::default());
+        for got in [heap.map(|_| ()), streamed.map(|_| ())] {
+            match got {
+                Err(IoError::Overflow { line: 2, token }) => {
+                    assert_eq!(token, "18446744073709551615");
+                }
+                other => panic!("expected overflow error, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! over a deterministic sweep of seeded random instances (the repository is
 //! dependency-free, so no proptest — the sweep plays its role).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader};
 use usnae_graph::bfs::{bfs, bfs_bounded, multi_source_bfs};
 use usnae_graph::connectivity::{components, connect_components, is_connected};
 use usnae_graph::dijkstra::{dijkstra, distance, sssp};
+use usnae_graph::io::{read_edge_list, stream_edge_list_to_csr_file, IoError, StreamOptions};
 use usnae_graph::rng::Rng;
 use usnae_graph::union_find::UnionFind;
-use usnae_graph::{generators, Graph, GraphBuilder, WeightedGraph};
+use usnae_graph::{generators, AdjStorage, Graph, GraphBuilder, GraphError, WeightedGraph};
 
 /// A random loop-free graph on `2..60` vertices from the sweep seed.
 fn random_graph(seed: u64) -> Graph {
@@ -334,4 +336,289 @@ fn weighted_graph_matches_a_pair_map_model() {
         }
         assert_matches_model(&h, &model, &format!("seed {seed}: end"));
     }
+}
+
+/// `GraphBuilder::build` against a `BTreeSet<(u, v)>` model over seeded
+/// edge streams that repeat edges in both orientations, leave vertices
+/// isolated, and include `n = 0` and `n = 1`: the offsets, each row
+/// (ascending, no repeats) and the edge count.
+#[test]
+fn graph_builder_matches_an_edge_set_model() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = match seed {
+            0 | 1 => seed as usize,
+            _ => rng.gen_range(2, 40),
+        };
+        let active = rng.gen_range(0, n + 1);
+        let mut b = GraphBuilder::new(n);
+        let mut model = BTreeSet::new();
+        let mut added: Vec<(usize, usize)> = Vec::new();
+        for _ in 0..rng.gen_range(0, 150) {
+            let (u, v) = if !added.is_empty() && rng.gen_range(0, 3) == 0 {
+                let (x, y) = added[rng.gen_index(added.len())];
+                if rng.gen_bool(0.5) {
+                    (x, y)
+                } else {
+                    (y, x)
+                }
+            } else if active >= 2 {
+                (rng.gen_range(0, active), rng.gen_range(0, active))
+            } else {
+                continue;
+            };
+            if u == v {
+                continue;
+            }
+            b.add_edge(u, v).expect("in range, no loop");
+            model.insert((u.min(v), u.max(v)));
+            added.push((u, v));
+        }
+        let g = b.build();
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(u, v) in &model {
+            rows[u].push(v);
+            rows[v].push(u);
+        }
+        let mut offsets = vec![0usize];
+        for row in &mut rows {
+            row.sort_unstable();
+            offsets.push(offsets.last().unwrap() + row.len());
+        }
+        assert_eq!(g.storage().offsets(), &offsets[..], "seed {seed}: offsets");
+        for (v, row) in rows.iter().enumerate() {
+            assert_eq!(g.neighbors(v), &row[..], "seed {seed}: row {v}");
+        }
+        assert_eq!(g.num_edges(), model.len(), "seed {seed}: edges");
+    }
+}
+
+/// A loader's outcome in comparable form: `Io` keeps the error's kind
+/// and message, every other variant its fields.
+#[derive(Debug, PartialEq)]
+enum Failure {
+    Io(std::io::ErrorKind, String),
+    Parse { line: usize, content: String },
+    Overflow { line: usize, token: String },
+    SelfLoop(usize),
+}
+
+impl From<IoError> for Failure {
+    fn from(e: IoError) -> Self {
+        match e {
+            IoError::Io(e) => Failure::Io(e.kind(), e.to_string()),
+            IoError::Parse { line, content } => Failure::Parse { line, content },
+            IoError::Overflow { line, token } => Failure::Overflow { line, token },
+            IoError::Graph(GraphError::SelfLoop { vertex }) => Failure::SelfLoop(vertex),
+            other => panic!("no loader test expects {other:?}"),
+        }
+    }
+}
+
+/// The reference line loop: `BufRead::lines` and the `str` grammar, as
+/// both loaders read text before they parsed bytes. The id `usize::MAX`
+/// overflows (its vertex count does not fit). Returns the edges up to
+/// the first line error, that error, and the number of lines read.
+fn reference_lines(text: &[u8]) -> (Vec<(usize, usize)>, Option<Failure>, usize) {
+    let mut edges = Vec::new();
+    let mut lines = 0;
+    for (idx, line) in text.lines().enumerate() {
+        let line_no = idx + 1;
+        lines = line_no;
+        let line = match line {
+            Ok(line) => line,
+            Err(e) => return (edges, Some(Failure::Io(e.kind(), e.to_string())), lines),
+        };
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        let parse = || Failure::Parse {
+            line: line_no,
+            content: line.clone(),
+        };
+        let id = |token: &str| match token.parse::<usize>() {
+            Ok(usize::MAX) => Err(Failure::Overflow {
+                line: line_no,
+                token: token.to_string(),
+            }),
+            Ok(v) => Ok(v),
+            Err(_) if !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit()) => {
+                Err(Failure::Overflow {
+                    line: line_no,
+                    token: token.to_string(),
+                })
+            }
+            Err(_) => Err(parse()),
+        };
+        let mut parts = trimmed.split_whitespace();
+        let (Some(a), Some(b)) = (parts.next(), parts.next()) else {
+            return (edges, Some(parse()), lines);
+        };
+        match (id(a), id(b)) {
+            (Ok(u), Ok(v)) => edges.push((u, v)),
+            (Err(e), _) | (_, Err(e)) => return (edges, Some(e), lines),
+        }
+    }
+    (edges, None, lines)
+}
+
+/// `read_edge_list` as it was: every line parses, then a `GraphBuilder`
+/// rejects the first self-loop.
+fn reference_heap(text: &[u8]) -> Result<Graph, Failure> {
+    let (edges, failure, _) = reference_lines(text);
+    if let Some(failure) = failure {
+        return Err(failure);
+    }
+    let n = edges.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
+    let mut b = GraphBuilder::new(n);
+    for &(u, v) in &edges {
+        b.add_edge(u, v).map_err(|e| match e {
+            GraphError::SelfLoop { vertex } => Failure::SelfLoop(vertex),
+            other => panic!("unexpected {other:?}"),
+        })?;
+    }
+    Ok(b.build())
+}
+
+/// The streaming loader's reference: the first error in file order,
+/// a self-loop included.
+fn reference_stream_error(text: &[u8]) -> Option<Failure> {
+    let (edges, failure, _) = reference_lines(text);
+    match edges.iter().find(|&&(u, v)| u == v) {
+        Some(&(v, _)) => Some(Failure::SelfLoop(v)),
+        None => failure,
+    }
+}
+
+/// A seeded edge-list text over a few vertices: edges (repeated in both
+/// orientations), blank, whitespace-only and comment lines, separators
+/// from tab, VT and FF to U+00A0, U+2028 and U+3000, CRLF ends, signed,
+/// zero-padded, 20-digit and `usize::MAX` ids, one-token and long
+/// lines, invalid UTF-8, and sometimes no final newline. Only seeds not
+/// divisible by 3 get malformed lines, and one seed in four self-loops.
+fn random_edge_text(seed: u64) -> Vec<u8> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let valid_only = seed.is_multiple_of(3);
+    let loops = seed % 4 == 1;
+    let seps: [&str; 9] = [
+        " ", "  ", "\t", " \t", "\u{0b}", "\u{0c}", "\u{a0}", "\u{2028}", "\u{3000}",
+    ];
+    let mut text: Vec<u8> = Vec::new();
+    let mut added: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..rng.gen_range(0, 24) {
+        let sep = |rng: &mut Rng| -> &str {
+            if rng.gen_bool(0.7) {
+                " "
+            } else {
+                seps[rng.gen_index(seps.len())]
+            }
+        };
+        let line: Vec<u8> = match rng.gen_range(0, 20) {
+            0 => Vec::new(),
+            1 => b" \t ".to_vec(),
+            2 => b"# a comment".to_vec(),
+            3 => format!("{}# indented", sep(&mut rng)).into_bytes(),
+            4 if !added.is_empty() => {
+                let (u, v) = added[rng.gen_index(added.len())];
+                format!("{v}{}{u}", sep(&mut rng)).into_bytes()
+            }
+            5 if loops => {
+                let v = rng.gen_range(0, 9);
+                format!("{v} {v}").into_bytes()
+            }
+            6 if !valid_only && rng.gen_bool(0.3) => b"# \xff\xfe not UTF-8".to_vec(),
+            7 => format!("{}1{}2{}", sep(&mut rng), sep(&mut rng), sep(&mut rng)).into_bytes(),
+            8 => format!("3 4{}extra 99", sep(&mut rng)).into_bytes(),
+            9 => b"0005 0000000000000000000000006".to_vec(),
+            10 if !valid_only && rng.gen_bool(0.5) => [
+                "+7 1",
+                "1 -1",
+                "7",
+                "99999999999999999999 1",
+                "0 18446744073709551615",
+                "a b",
+                "1 x2",
+            ][rng.gen_index(7)]
+            .as_bytes()
+            .to_vec(),
+            11 if !valid_only && rng.gen_bool(0.3) => b"1 \xfe2".to_vec(),
+            _ => {
+                let (u, v) = (rng.gen_range(0, 9), rng.gen_range(0, 9));
+                if u == v && !loops {
+                    continue;
+                }
+                added.push((u, v));
+                format!("{u}{}{v}", sep(&mut rng)).into_bytes()
+            }
+        };
+        text.extend_from_slice(&line);
+        text.extend_from_slice(if rng.gen_bool(0.3) { b"\r\n" } else { b"\n" });
+    }
+    if rng.gen_bool(0.3) {
+        // No final newline: drop it, or end on a last line without one.
+        if rng.gen_bool(0.5) {
+            text.pop();
+        } else {
+            text.extend_from_slice(b"5 6\r");
+        }
+    }
+    text
+}
+
+/// Both loaders against the reference line loop, on fixed texts and on
+/// seeded ones. `read_edge_list` reads each text through buffers of 1 to
+/// 17 bytes, so lines split at every offset across refills; its graph
+/// must equal the reference's, or its error carry the same variant and
+/// fields. The streaming loader's CSR file must equal the heap graph's,
+/// byte for byte, and its error be the first one in file order.
+#[test]
+fn both_loaders_match_the_line_by_line_reference() {
+    let fixed: [&[u8]; 9] = [
+        b"",
+        b"0 1",
+        b"0 1\n2 2\nbroken\n",
+        b"0 1\r\n7\r\n",
+        b"0 1\n0 18446744073709551615\n",
+        b"0 1\n1 0\n0 1\n",
+        b"# \xff\n0 1\n",
+        b"0 \xff1\n",
+        b"1 2\r",
+    ];
+    let seeded: Vec<Vec<u8>> = (0..4 * CASES).map(random_edge_text).collect();
+    let dir = std::env::temp_dir().join(format!("usnae-loaders-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (input, streamed, heap) = (dir.join("g.txt"), dir.join("s.csr"), dir.join("h.csr"));
+    for (i, text) in fixed
+        .iter()
+        .copied()
+        .chain(seeded.iter().map(|t| &t[..]))
+        .enumerate()
+    {
+        let ctx = format!("text {i} {:?}", String::from_utf8_lossy(text));
+        let want = reference_heap(text);
+        for k in 1..=17 {
+            let got = read_edge_list(BufReader::with_capacity(k, text), 0).map_err(Failure::from);
+            assert_eq!(got, want, "{ctx}, buffer {k}");
+        }
+        std::fs::write(&input, text).unwrap();
+        let got = stream_edge_list_to_csr_file(&input, &streamed, &StreamOptions::default());
+        match (got, want) {
+            (Ok(stats), Ok(g)) => {
+                assert_eq!(stats.lines, reference_lines(text).2, "{ctx}: lines");
+                g.write_csr_file(&heap).unwrap();
+                assert_eq!(
+                    std::fs::read(&streamed).unwrap(),
+                    std::fs::read(&heap).unwrap(),
+                    "{ctx}: CSR bytes"
+                );
+            }
+            (got, _) => assert_eq!(
+                got.err().map(Failure::from),
+                reference_stream_error(text),
+                "{ctx}: stream"
+            ),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
